@@ -101,6 +101,7 @@ Result<BlobFs::OpenFile*> BlobFs::lookup_handle(vfs::FileHandle fh) {
 
 Status BlobFs::flush_size(blob::BlobClient& client, OpenFile& of) {
   if (!of.size_dirty) return Status::success();
+  std::scoped_lock lk(flush_mu_);
   auto current = load_meta(client, of.path);
   Meta merged = current.ok() ? current.value() : of.meta;
   merged.size = std::max(merged.size, of.meta.size);

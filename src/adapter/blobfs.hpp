@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -115,7 +116,9 @@ class BlobFs final : public vfs::FileSystem {
   /// returning a raw pointer into the map is safe until that thread closes.
   Result<OpenFile*> lookup_handle(vfs::FileHandle fh);
   /// Persist cached size growth: read-merge-write so a flush never shrinks
-  /// the size another handle already persisted.
+  /// the size another handle already persisted. Serialized by flush_mu_:
+  /// two handles flushing at once would otherwise both merge against the
+  /// same old size, and the later store would drop the other's growth.
   Status flush_size(blob::BlobClient& client, OpenFile& of);
   Status remove_file_blobs(blob::BlobClient& client, std::string_view norm_path,
                            std::uint64_t size);
@@ -125,6 +128,7 @@ class BlobFs final : public vfs::FileSystem {
 
   std::shared_mutex handles_mu_;
   std::unordered_map<vfs::FileHandle, OpenFile> handles_;
+  std::mutex flush_mu_;  ///< held across flush_size's read-merge-write
   std::atomic<vfs::FileHandle> next_handle_{1};
 };
 

@@ -366,6 +366,13 @@ BlobClient::NodeHealth::Breaker BlobClient::breaker_state(std::uint32_t node) {
   return it == health_.end() ? NodeHealth::Breaker::closed : it->second.state;
 }
 
+bool BlobClient::take_retry_token() {
+  std::lock_guard<std::mutex> lk(health_mu_);
+  if (retry_tokens_ < 1.0) return false;
+  retry_tokens_ -= 1.0;
+  return true;
+}
+
 BlobClient::LegDelivery BlobClient::try_deliver(BlobServer& srv, SimMicros start,
                                                 std::uint64_t request_bytes,
                                                 std::uint32_t batch_subs) {
@@ -379,19 +386,20 @@ BlobClient::LegDelivery BlobClient::try_deliver(BlobServer& srv, SimMicros start
   // Each fresh leg earns retry tokens; each retry below spends one. The
   // bucket is client-wide, so a correlated failure drains it and retries
   // stop fleet-wide instead of amplifying the overload.
+  // Guarded by health_mu_: the legs of one batched wave run on pool threads.
   const bool bucket_on = dp.retry_token_cap > 0.0;
   if (bucket_on) {
+    std::lock_guard<std::mutex> lk(health_mu_);
     if (retry_tokens_ < 0.0) retry_tokens_ = dp.retry_token_cap;  // initial fill
     retry_tokens_ = std::min(dp.retry_token_cap, retry_tokens_ + dp.retry_token_ratio);
   }
   for (std::uint32_t a = 0; a < attempts; ++a) {
     if (a > 0) {
-      if (bucket_on && retry_tokens_ < 1.0) {
+      if (bucket_on && !take_retry_token()) {
         counters_.retries_suppressed.inc();
         client_metrics().retries_suppressed.inc();
         break;
       }
-      if (bucket_on) retry_tokens_ -= 1.0;
       t += next_backoff(&prev);
       counters_.retries.inc();
     }

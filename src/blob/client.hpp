@@ -161,6 +161,9 @@ class BlobClient {
   /// from [base, prev*3], clamped to the policy cap. Mutates *prev.
   SimMicros next_backoff(SimMicros* prev);
 
+  /// Spend one token from the client-wide retry bucket; false when empty.
+  bool take_retry_token();
+
   /// Drive one request leg to delivery, retrying per RetryPolicy with
   /// backoff. On success `attempt_start` is the (possibly backed-off) send
   /// time of the delivered attempt; on failure `failed_at` is when the last
@@ -404,7 +407,7 @@ class BlobClient {
   // Overload resilience state.
   SimMicros op_deadline_at_ = 0;  ///< absolute budget of the op in flight (0 = none)
   double retry_tokens_ = -1.0;    ///< client-wide bucket; <0 = fill on first use
-  std::mutex health_mu_;          ///< guards health_ (pool fan-out, fault-free runs)
+  std::mutex health_mu_;          ///< guards health_ and retry_tokens_ (pool fan-out)
   std::unordered_map<std::uint32_t, NodeHealth> health_;
   double fleet_ewma_us_ = 0.0;    ///< all-node latency EWMA (suspect baseline)
   std::uint64_t fleet_samples_ = 0;

@@ -67,8 +67,7 @@ class OpPublisher {
 }  // namespace
 
 std::size_t BlobServer::stripe_of(std::string_view key) noexcept {
-  static_assert((kLockStripes & (kLockStripes - 1)) == 0, "stripe count is a power of two");
-  return fnv1a64(key) & (kLockStripes - 1);
+  return StorageEngine::shard_of(key);
 }
 
 BlobServer::KeyLock BlobServer::lock_key(std::string_view key) {
@@ -115,7 +114,6 @@ BlobServer::MultiKeyLock BlobServer::lock_keys(const std::vector<std::string_vie
 
 Status BlobServer::enable_persistence(const std::string& dir, persist::JournalConfig jcfg) {
   std::unique_lock lk(mu_);
-  std::scoped_lock elk(engine_mu_);
   auto j = persist::Journal::open(dir, jcfg);
   if (!j.ok()) return j.error();
   journal_ = std::move(j).take();
@@ -133,7 +131,6 @@ Status BlobServer::enable_persistence(const std::string& dir, persist::JournalCo
 
 void BlobServer::crash() {
   std::unique_lock lk(mu_);
-  std::scoped_lock elk(engine_mu_);
   engine_.attach_journal(nullptr);
   if (journal_) journal_->abandon();  // un-fsynced batch dies with the process
   journal_.reset();
@@ -148,7 +145,6 @@ void BlobServer::crash() {
 
 Status BlobServer::restart(persist::RecoveryReport* report) {
   std::unique_lock lk(mu_);
-  std::scoped_lock elk(engine_mu_);
   if (persist_dir_.empty()) return {Errc::invalid_argument, "persistence not enabled"};
   auto e = StorageEngine::recover(persist_dir_, ecfg_, report);
   if (!e.ok()) return e.error();
@@ -162,7 +158,6 @@ Status BlobServer::restart(persist::RecoveryReport* report) {
 
 Result<std::uint64_t> BlobServer::checkpoint_now(SimMicros* service_us, bool prune_wal) {
   std::unique_lock lk(mu_);
-  std::scoped_lock elk(engine_mu_);
   // Checkpointing reads and rewrites every live byte sequentially, plus a
   // journal barrier.
   *service_us = node_->disk().service_us(engine_.live_bytes(), true) +
@@ -172,7 +167,6 @@ Result<std::uint64_t> BlobServer::checkpoint_now(SimMicros* service_us, bool pru
 
 Status BlobServer::sync_journal() {
   std::unique_lock lk(mu_);
-  std::scoped_lock elk(engine_mu_);
   if (!journal_) return Status::success();
   return journal_->sync();
 }
@@ -185,11 +179,25 @@ std::array<std::uint64_t, BlobServer::kLockStripes> BlobServer::stripe_acquisiti
   return out;
 }
 
+SimMicros BlobServer::svc_read(const std::string& key, std::uint64_t obj_size,
+                               std::uint64_t data_len, std::uint32_t extents_touched) {
+  server_metrics().read_bytes.add(data_len);
+  const SimMicros t = svc_bytes_cpu(data_len);
+  if (node_->cache().touch_read(fnv1a64(key), obj_size) || extents_touched == 0) {
+    // Served from the page cache (or a pure hole): no disk access.
+    return t + 1;
+  }
+  // First extent pays the seek; subsequent extents are near-sequential in
+  // the log and pay a short settle instead of a full stroke.
+  const auto& dp = node_->disk().params();
+  return t + node_->disk().service_us(data_len, /*sequential=*/false) +
+         static_cast<SimMicros>(extents_touched - 1) * (dp.rotational_us / 2);
+}
+
 Status BlobServer::create(const std::string& key, SimMicros* service_us) {
   OpPublisher pub(server_metrics().create, service_us);
   KeyLock lk = lock_key(key);
   *service_us = svc_metadata();
-  std::scoped_lock elk(engine_mu_);
   return engine_.create(key);
 }
 
@@ -198,7 +206,6 @@ Status BlobServer::remove(const std::string& key, SimMicros* service_us) {
   KeyLock lk = lock_key(key);
   *service_us = svc_metadata();
   node_->cache().invalidate(fnv1a64(key));
-  std::scoped_lock elk(engine_mu_);
   return engine_.remove(key);
 }
 
@@ -207,18 +214,12 @@ Result<WriteOutcome> BlobServer::write(const std::string& key, std::uint64_t off
                                        SimMicros* service_us) {
   OpPublisher pub(server_metrics().write, service_us);
   KeyLock lk = lock_key(key);
-  std::uint64_t obj_size = 0;
-  auto r = [&] {
-    std::scoped_lock elk(engine_mu_);
-    auto rr = engine_.write(key, off, data, create_if_missing);
-    if (rr.ok()) obj_size = engine_.size(key).value_or(0);
-    return rr;
-  }();
+  auto r = engine_.write(key, off, data, create_if_missing);
   SimMicros t = costs_.cpu_op_us + svc_bytes_cpu(data.size());
   if (r.ok()) {
     // Log-structured append: sequential disk write; write-through cache.
     t += node_->disk().service_us(data.size(), /*sequential=*/true);
-    node_->cache().touch_write(fnv1a64(key), obj_size);
+    node_->cache().touch_write(fnv1a64(key), r.value().size);
     server_metrics().write_bytes.add(data.size());
   }
   *service_us = t;
@@ -227,34 +228,8 @@ Result<WriteOutcome> BlobServer::write(const std::string& key, std::uint64_t off
 
 Result<ReadOutcome> BlobServer::read(const std::string& key, std::uint64_t off,
                                      std::uint64_t len, SimMicros* service_us) {
-  OpPublisher pub(server_metrics().read, service_us);
   std::shared_lock lk(mu_);
-  std::uint64_t obj_size = 0;
-  auto r = [&] {
-    std::scoped_lock elk(engine_mu_);
-    auto rr = engine_.read(key, off, len);
-    if (rr.ok()) obj_size = engine_.size(key).value_or(0);
-    return rr;
-  }();
-  SimMicros t = costs_.cpu_op_us;
-  if (r.ok()) {
-    const auto& out = r.value();
-    server_metrics().read_bytes.add(out.data.size());
-    t += svc_bytes_cpu(out.data.size());
-    const bool cached = node_->cache().touch_read(fnv1a64(key), obj_size);
-    if (cached || out.extents_touched == 0) {
-      // Served from the page cache (or a pure hole): no disk access.
-      t += 1;
-    } else {
-      // First extent pays the seek; subsequent extents are near-sequential
-      // in the log and pay a short settle instead of a full stroke.
-      const auto& dp = node_->disk().params();
-      t += node_->disk().service_us(out.data.size(), /*sequential=*/false);
-      t += static_cast<SimMicros>(out.extents_touched - 1) * (dp.rotational_us / 2);
-    }
-  }
-  *service_us = t;
-  return r;
+  return read_locked(key, off, len, service_us);
 }
 
 void BlobServer::read_batch(const ReadSubOp* subs, std::size_t count,
@@ -263,7 +238,8 @@ void BlobServer::read_batch(const ReadSubOp* subs, std::size_t count,
   auto& m = server_metrics();
   // One structure-lock acquisition and one fixed CPU charge for the whole
   // envelope; each sub-op then pays exactly what read()/stat() would have
-  // charged for its own data (stat subs ride along for 1µs).
+  // charged for its own data (stat subs ride along for 1µs). Each sub is one
+  // engine call, so its data, size and version come from one shard hold.
   std::shared_lock lk(mu_);
   SimMicros t = costs_.cpu_op_us;
   // Digest-only subs are answered from the extent index (span_probe folds
@@ -278,97 +254,45 @@ void BlobServer::read_batch(const ReadSubOp* subs, std::size_t count,
     if (sub.stat_only) {
       m.stat.calls.inc();
       t += 1;
-      std::scoped_lock elk(engine_mu_);
-      auto s = engine_.size(*sub.key);
-      if (!s.ok()) {
-        res.err = Errc::not_found;
-        if (per_op_us) per_op_us[i] = t;
-        continue;
-      }
-      res.size = s.value();
-      res.version = engine_.version(*sub.key).value_or(0);
-      if (per_op_us) per_op_us[i] = t;
-      continue;
-    }
-    if (sub.digest_only) {
-      std::uint64_t obj_size = 0;
-      SpanProbeOutcome probe;
-      const Errc perr = [&] {
-        std::scoped_lock elk(engine_mu_);
-        auto pr = engine_.span_probe(*sub.key, sub.off, sub.len);
-        if (!pr.ok()) return pr.code();
-        probe = pr.value();
-        obj_size = engine_.size(*sub.key).value_or(0);
-        res.version = engine_.version(*sub.key).value_or(0);
-        return Errc::ok;
-      }();
-      if (perr != Errc::ok) {
-        res.err = perr;
-        t += 1;
-        if (per_op_us) per_op_us[i] = t;
-        continue;
-      }
-      res.digest = probe.digest;
-      res.data_len = probe.data_len;  // the payload bytes the vote avoided
-      res.covered = probe.covered;
-      if (sub.probe_payload) {
-        m.read.calls.inc();
-        m.read_bytes.add(probe.data_len);
-        t += svc_bytes_cpu(probe.data_len);
-        const bool cached = node_->cache().touch_read(fnv1a64(*sub.key), obj_size);
-        if (cached || probe.extents_touched == 0) {
-          t += 1;
-        } else {
-          const auto& dp = node_->disk().params();
-          t += node_->disk().service_us(probe.data_len, /*sequential=*/false);
-          t += static_cast<SimMicros>(probe.extents_touched - 1) *
-               (dp.rotational_us / 2);
-        }
+      auto s = engine_.stat(*sub.key);
+      if (s.ok()) {
+        res.size = s.value().size;
+        res.version = s.value().version;
       } else {
-        m.stat.calls.inc();
-        t += 1;
+        res.err = Errc::not_found;
       }
-      if (per_op_us) per_op_us[i] = t;
-      continue;
-    }
-    std::uint64_t obj_size = 0;
-    Version obj_version = 0;
-    std::uint64_t span_digest = 0;
-    auto r = [&] {
-      std::scoped_lock elk(engine_mu_);
-      auto rr = engine_.read_into(*sub.key, sub.off, sub.dst);
-      if (rr.ok()) {
-        obj_size = engine_.size(*sub.key).value_or(0);
-        obj_version = engine_.version(*sub.key).value_or(0);
-        if (sub.want_digest) {
-          // Same extent-index fold the digest-only votes use, so both sides
-          // of an arbitration compare digests with one definition.
-          auto pr = engine_.span_probe(*sub.key, sub.off, sub.dst.size());
-          if (pr.ok()) span_digest = pr.value().digest;
+    } else if (sub.digest_only) {
+      auto pr = engine_.span_probe(*sub.key, sub.off, sub.len);
+      if (!pr.ok()) {
+        res.err = pr.code();
+        t += 1;
+      } else {
+        const SpanProbeOutcome& probe = pr.value();
+        res.version = probe.version;
+        res.digest = probe.digest;
+        res.data_len = probe.data_len;  // the payload bytes the vote avoided
+        res.covered = probe.covered;
+        if (sub.probe_payload) {
+          m.read.calls.inc();
+          t += svc_read(*sub.key, probe.size, probe.data_len, probe.extents_touched);
+        } else {
+          m.stat.calls.inc();
+          t += 1;
         }
       }
-      return rr;
-    }();
-    if (!r.ok()) {
-      res.err = r.code();
-      if (per_op_us) per_op_us[i] = t;
-      continue;
-    }
-    const auto& out = r.value();
-    res.data_len = out.data_len;
-    res.covered = out.covered;
-    res.version = obj_version;
-    res.digest = span_digest;
-    m.read.calls.inc();
-    m.read_bytes.add(out.data_len);
-    t += svc_bytes_cpu(out.data_len);
-    const bool cached = node_->cache().touch_read(fnv1a64(*sub.key), obj_size);
-    if (cached || out.extents_touched == 0) {
-      t += 1;
     } else {
-      const auto& dp = node_->disk().params();
-      t += node_->disk().service_us(out.data_len, /*sequential=*/false);
-      t += static_cast<SimMicros>(out.extents_touched - 1) * (dp.rotational_us / 2);
+      auto r = engine_.read_into(*sub.key, sub.off, sub.dst, sub.want_digest);
+      if (!r.ok()) {
+        res.err = r.code();
+      } else {
+        const ReadIntoOutcome& out = r.value();
+        res.data_len = out.data_len;
+        res.covered = out.covered;
+        res.version = out.version;
+        res.digest = out.digest;
+        m.read.calls.inc();
+        t += svc_read(*sub.key, out.size, out.data_len, out.extents_touched);
+      }
     }
     if (per_op_us) per_op_us[i] = t;
   }
@@ -380,7 +304,6 @@ Result<Version> BlobServer::truncate(const std::string& key, std::uint64_t new_s
   OpPublisher pub(server_metrics().truncate, service_us);
   KeyLock lk = lock_key(key);
   *service_us = svc_metadata();
-  std::scoped_lock elk(engine_mu_);
   return engine_.truncate(key, new_size);
 }
 
@@ -388,7 +311,6 @@ Result<std::uint64_t> BlobServer::size(const std::string& key, SimMicros* servic
   OpPublisher pub(server_metrics().size, service_us);
   std::shared_lock lk(mu_);
   *service_us = costs_.cpu_op_us;
-  std::scoped_lock elk(engine_mu_);
   return engine_.size(key);
 }
 
@@ -396,12 +318,7 @@ Result<BlobStat> BlobServer::stat(const std::string& key, SimMicros* service_us)
   OpPublisher pub(server_metrics().stat, service_us);
   std::shared_lock lk(mu_);
   *service_us = costs_.cpu_op_us;
-  std::scoped_lock elk(engine_mu_);
-  auto s = engine_.size(key);
-  if (!s.ok()) return s.error();
-  auto v = engine_.version(key);
-  if (!v.ok()) return v.error();
-  return BlobStat{key, s.value(), v.value()};
+  return engine_.stat(key);
 }
 
 std::vector<BlobStat> BlobServer::scan(const std::string& prefix, SimMicros* service_us) {
@@ -409,11 +326,12 @@ std::vector<BlobStat> BlobServer::scan(const std::string& prefix, SimMicros* ser
   std::shared_lock lk(mu_);
   // The flat namespace has no directory index: scan walks every object
   // regardless of how selective the prefix is (§III: "far from optimized").
-  std::scoped_lock elk(engine_mu_);
+  std::uint64_t walked = 0;
+  auto out = engine_.scan(prefix, &walked);
   *service_us = costs_.cpu_op_us +
-                static_cast<SimMicros>(std::ceil(static_cast<double>(engine_.object_count()) *
+                static_cast<SimMicros>(std::ceil(static_cast<double>(walked) *
                                                  costs_.scan_per_obj_us));
-  return engine_.scan(prefix);
+  return out;
 }
 
 Status BlobServer::apply_txn_ops(const std::vector<TxnOp>& ops, SimMicros* service_us) {
@@ -436,76 +354,64 @@ Status BlobServer::apply_ops(const OpRef* ops, std::size_t count, SimMicros* ser
   // time stay on server.txn.*. The fixed request-handling CPU is charged
   // once per envelope — k batched sub-ops parse once, not k times.
   // Caller holds lock_exclusive() or a (Multi)KeyLock covering every op's
-  // key; the engine itself is guarded by engine_mu_ (per op, so concurrent
-  // readers of other keys interleave between ops, never inside one).
+  // key; each op is one engine call (one shard hold), so concurrent readers
+  // of other keys interleave between ops, never inside one.
   SimMicros t = costs_.cpu_op_us;
   for (std::size_t i = 0; i < count; ++i) {
     const OpRef& op = ops[i];
+    Status st;
     switch (op.kind) {
       case TxnOp::Kind::write: {
-        std::uint64_t obj_size = 0;
-        Status st = [&]() -> Status {
-          std::scoped_lock elk(engine_mu_);
-          auto r = engine_.write(*op.key, op.offset, op.data, true, op.checksum);
-          if (!r.ok()) return r.error();
-          obj_size = engine_.size(*op.key).value_or(0);
-          return Status::success();
-        }();
-        if (!st.ok()) {
-          *service_us = t;
-          return st;
+        auto r = engine_.write(*op.key, op.offset, op.data, true, op.checksum);
+        if (!r.ok()) {
+          st = r.error();
+          break;
         }
         m.write.calls.inc();
         m.write_bytes.add(op.data.size());
         t += svc_bytes_cpu(op.data.size()) +
              node_->disk().service_us(op.data.size(), true);
-        node_->cache().touch_write(fnv1a64(*op.key), obj_size);
+        node_->cache().touch_write(fnv1a64(*op.key), r.value().size);
         break;
       }
       case TxnOp::Kind::truncate: {
-        std::scoped_lock elk(engine_mu_);
         auto r = engine_.truncate(*op.key, op.new_size);
         if (!r.ok()) {
-          *service_us = t;
-          return r.error();
+          st = r.error();
+          break;
         }
         m.truncate.calls.inc();
         t += svc_metadata();
         break;
       }
-      case TxnOp::Kind::create: {
-        std::scoped_lock elk(engine_mu_);
-        auto r = engine_.create(*op.key);
-        if (!r.ok()) {
-          *service_us = t;
-          return r;
+      case TxnOp::Kind::create:
+        st = engine_.create(*op.key);
+        if (st.ok()) {
+          m.create.calls.inc();
+          t += svc_metadata();
         }
-        m.create.calls.inc();
-        t += svc_metadata();
         break;
-      }
-      case TxnOp::Kind::remove: {
+      case TxnOp::Kind::remove:
         node_->cache().invalidate(fnv1a64(*op.key));
-        std::scoped_lock elk(engine_mu_);
-        auto r = engine_.remove(*op.key);
-        if (!r.ok()) {
-          *service_us = t;
-          return r;
+        st = engine_.remove(*op.key);
+        if (st.ok()) {
+          m.remove.calls.inc();
+          t += svc_metadata();
         }
-        m.remove.calls.inc();
-        t += svc_metadata();
         break;
-      }
       case TxnOp::Kind::grow: {
-        std::scoped_lock elk(engine_mu_);
         auto r = engine_.grow(*op.key, op.new_size);
         if (!r.ok()) {
-          *service_us = t;
-          return r.error();
+          st = r.error();
+          break;
         }
         t += svc_metadata();
         break;
       }
+    }
+    if (!st.ok()) {
+      *service_us = t;
+      return st;
     }
     if (per_op_us != nullptr) per_op_us[i] = t;
   }
@@ -515,24 +421,20 @@ Status BlobServer::apply_ops(const OpRef* ops, std::size_t count, SimMicros* ser
 
 bool BlobServer::version_matches(const std::string& key, Version expected) {
   // Caller holds lock_exclusive() or a KeyLock on `key`.
-  std::scoped_lock elk(engine_mu_);
   auto v = engine_.version(key);
   if (!v.ok()) return expected == 0;  // "must not exist"
   return v.value() == expected;
 }
 
 Result<std::uint64_t> BlobServer::peek_size(const std::string& key) {
-  std::scoped_lock elk(engine_mu_);
   return engine_.size(key);
 }
 
 Result<Version> BlobServer::peek_version(const std::string& key) {
-  std::scoped_lock elk(engine_mu_);
   return engine_.version(key);
 }
 
 Status BlobServer::force_version(const std::string& key, Version v) {
-  std::scoped_lock elk(engine_mu_);
   return engine_.set_version(key, v);
 }
 
@@ -546,27 +448,14 @@ Status BlobServer::install_copy(const std::string& key, ByteView data,
 Status BlobServer::install_copy_locked(const std::string& key, ByteView data,
                                        std::uint64_t logical_size, Version version,
                                        SimMicros* service_us) {
-  // Caller holds lock_exclusive() or a KeyLock on `key`.
+  // Caller holds lock_exclusive() or a KeyLock on `key`. One engine call:
+  // readers never see the key vanish between the remove and the rewrite.
   node_->cache().invalidate(fnv1a64(key));
-  Status st = [&]() -> Status {
-    std::scoped_lock elk(engine_mu_);
-    if (engine_.contains(key)) {
-      auto rm = engine_.remove(key);
-      if (!rm.ok()) return rm;
-    }
-    auto w = engine_.write(key, 0, data, /*create_if_missing=*/true);
-    if (!w.ok()) return w.error();
-    if (logical_size != data.size()) {
-      auto t = engine_.truncate(key, logical_size);
-      if (!t.ok()) return t.error();
-    }
-    return engine_.set_version(key, version);
-  }();
+  Status st = engine_.install(key, data, logical_size, version);
   SimMicros t = costs_.cpu_op_us + svc_bytes_cpu(data.size());
   if (st.ok()) {
     t += node_->disk().service_us(data.size(), /*sequential=*/true);
-    std::uint64_t obj_size = peek_size(key).value_or(0);
-    node_->cache().touch_write(fnv1a64(key), obj_size);
+    node_->cache().touch_write(fnv1a64(key), logical_size);
   }
   *service_us = t;
   return st;
@@ -574,30 +463,15 @@ Status BlobServer::install_copy_locked(const std::string& key, ByteView data,
 
 Result<ReadOutcome> BlobServer::read_locked(const std::string& key, std::uint64_t off,
                                             std::uint64_t len, SimMicros* service_us) {
-  // Caller holds lock_exclusive() or a KeyLock on `key` — identical to
-  // read() minus the structure lock it would re-acquire (self-deadlock on
-  // the rebalancer's copy path, which already holds the key's stripes).
+  // Caller holds mu_ (shared or exclusive) or a KeyLock on `key`; read()
+  // is this plus the structure lock, which the rebalancer's copy path
+  // already holds (re-acquiring it could self-deadlock).
   OpPublisher pub(server_metrics().read, service_us);
-  std::uint64_t obj_size = 0;
-  auto r = [&] {
-    std::scoped_lock elk(engine_mu_);
-    auto rr = engine_.read(key, off, len);
-    if (rr.ok()) obj_size = engine_.size(key).value_or(0);
-    return rr;
-  }();
+  auto r = engine_.read(key, off, len);
   SimMicros t = costs_.cpu_op_us;
   if (r.ok()) {
-    const auto& out = r.value();
-    server_metrics().read_bytes.add(out.data.size());
-    t += svc_bytes_cpu(out.data.size());
-    const bool cached = node_->cache().touch_read(fnv1a64(key), obj_size);
-    if (cached || out.extents_touched == 0) {
-      t += 1;
-    } else {
-      const auto& dp = node_->disk().params();
-      t += node_->disk().service_us(out.data.size(), /*sequential=*/false);
-      t += static_cast<SimMicros>(out.extents_touched - 1) * (dp.rotational_us / 2);
-    }
+    const ReadOutcome& out = r.value();
+    t += svc_read(key, out.size, out.data.size(), out.extents_touched);
   }
   *service_us = t;
   return r;
@@ -631,25 +505,21 @@ std::uint64_t BlobServer::hint_count() const {
 
 std::uint64_t BlobServer::object_count() {
   std::shared_lock lk(mu_);
-  std::scoped_lock elk(engine_mu_);
   return engine_.object_count();
 }
 
 std::uint64_t BlobServer::live_bytes() {
   std::shared_lock lk(mu_);
-  std::scoped_lock elk(engine_mu_);
   return engine_.live_bytes();
 }
 
 std::uint64_t BlobServer::dead_bytes() {
   std::shared_lock lk(mu_);
-  std::scoped_lock elk(engine_mu_);
   return engine_.dead_bytes();
 }
 
 std::uint64_t BlobServer::compact(SimMicros* service_us) {
   std::unique_lock lk(mu_);
-  std::scoped_lock elk(engine_mu_);
   const std::uint64_t live = engine_.live_bytes();
   const std::uint64_t reclaimed = engine_.compact();
   // Compaction reads and rewrites every live byte sequentially.
@@ -659,19 +529,16 @@ std::uint64_t BlobServer::compact(SimMicros* service_us) {
 
 Status BlobServer::verify_integrity() {
   std::shared_lock lk(mu_);
-  std::scoped_lock elk(engine_mu_);
   return engine_.verify_integrity();
 }
 
 Status BlobServer::verify_key(const std::string& key) {
   std::shared_lock lk(mu_);
-  std::scoped_lock elk(engine_mu_);
   return engine_.verify_object(key);
 }
 
 bool BlobServer::corrupt_for_testing(const std::string& key) {
   std::unique_lock lk(mu_);
-  std::scoped_lock elk(engine_mu_);
   return engine_.corrupt_for_testing(key);
 }
 

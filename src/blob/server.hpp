@@ -3,7 +3,7 @@
 // time of every operation from the node's disk model plus fixed CPU costs.
 //
 // Locking model (acquisition order: client ascending server id → mu_ →
-// stripe → engine_mu_, engine_mu_ strictly innermost):
+// stripe → engine shard → journal):
 //
 //  * mu_ (shared_mutex) — the "structure" lock. Exclusive for multi-key
 //    transaction commits and maintenance (compaction, repair, rebalance);
@@ -14,8 +14,13 @@
 //    holds the key's stripe on every replica (all acquired in ascending
 //    node order), so racing writers to one key apply in the same order on
 //    every replica while writers to distinct keys proceed in parallel.
-//  * engine_mu_ — the single-threaded StorageEngine is only ever touched
-//    with this held; it is never held while acquiring any other lock.
+//  * engine shards — the StorageEngine locks the shard of each key it
+//    touches, inside every engine call; the server takes no engine lock.
+//    Stripe s and shard s cover the same keys, so a mutation holding its
+//    stripe only ever waits on readers of its own shard. Every server op is
+//    one engine call, and engine outcomes carry the size and version seen
+//    with the data, so no sequence needs a lock held across engine calls.
+//  * the journal's mutex — a leaf taken by the engine to append WAL records.
 #pragma once
 
 #include <array>
@@ -46,8 +51,8 @@ struct ServerCosts {
 
 class BlobServer {
  public:
-  /// Number of per-key lock stripes (power of two).
-  static constexpr std::size_t kLockStripes = 64;
+  /// Number of per-key lock stripes: one per engine shard.
+  static constexpr std::size_t kLockStripes = StorageEngine::kShards;
 
   BlobServer(sim::SimNode& node, EngineConfig ecfg = {}, ServerCosts costs = {})
       : node_(&node), engine_(ecfg), ecfg_(ecfg), costs_(costs) {}
@@ -222,9 +227,9 @@ class BlobServer {
                              std::uint64_t logical_size, Version version,
                              SimMicros* service_us);
 
-  /// Whole-object read under the caller's lock (same contract as
-  /// install_copy_locked): the structure lock is NOT re-acquired, so it is
-  /// safe while already holding a KeyLock on this server.
+  /// read() under the caller's lock (same contract as install_copy_locked):
+  /// the structure lock is NOT re-acquired, so it is safe while already
+  /// holding a KeyLock on this server.
   [[nodiscard]] Result<ReadOutcome> read_locked(const std::string& key, std::uint64_t off,
                                                 std::uint64_t len, SimMicros* service_us);
 
@@ -321,6 +326,12 @@ class BlobServer {
   [[nodiscard]] SimMicros svc_bytes_cpu(std::uint64_t bytes) const noexcept {
     return static_cast<SimMicros>(static_cast<double>(bytes) * costs_.cpu_byte_us);
   }
+  /// Cost of serving `data_len` payload bytes of a `obj_size`-byte object
+  /// beyond the fixed request CPU: per-byte CPU, then 1µs on a page-cache
+  /// hit (or pure hole), else a seek plus a half-rotation settle per further
+  /// extent. Touches the page cache and publishes server.read.bytes.
+  SimMicros svc_read(const std::string& key, std::uint64_t obj_size, std::uint64_t data_len,
+                     std::uint32_t extents_touched);
 
   struct Stripe {
     std::mutex mu;
@@ -330,7 +341,6 @@ class BlobServer {
   sim::SimNode* node_;
   std::shared_mutex mu_;
   std::array<Stripe, kLockStripes> stripes_;
-  std::mutex engine_mu_;
   StorageEngine engine_;
   EngineConfig ecfg_;
   ServerCosts costs_;

@@ -6,8 +6,15 @@
 // logical object ranges onto segment extents; overwrites supersede extents
 // and leave dead bytes behind, which `compact()` reclaims.
 //
-// The engine is deliberately single-node and unlocked: thread safety and
-// distribution live one layer up (blob::BlobServer / blob::BlobStore).
+// The engine is split into kShards shards, selected by the same key hash as
+// the server's lock stripes (BlobServer::stripe_of). Each shard owns its
+// objects, version floors, segments, free slots and live/dead byte counts
+// behind its own mutex, so every single-key call takes exactly one shard
+// lock and mutations of keys in different shards never wait on each other.
+// A single-key call is atomic: its outcome reports the object's size and
+// version as of the same lock hold that served the data. Whole-engine
+// operations (scan, counts, compaction, checkpoint, integrity) visit the
+// shards in index order, one shard lock at a time.
 //
 // Durability: the in-memory log can be backed by a write-ahead journal
 // (persist::Journal). With one attached, every successful mutation is
@@ -17,9 +24,14 @@
 // and versions exactly (physical segment layout may differ).
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -35,11 +47,17 @@ struct EngineConfig {
   double compact_dead_ratio = 0.5;           ///< compaction trigger threshold
 };
 
+// Every outcome carries the object's `size` and `version` as of the lock
+// hold that produced it: a caller pairing data with a version (quorum votes)
+// or sizing the page-cache entry after a write needs no second lookup that
+// a concurrent mutation could slip in front of.
+
 /// Outcome of a write, carrying what the cost model needs.
 struct WriteOutcome {
   std::uint64_t bytes = 0;
   bool sequential_disk = true;  ///< log-structured appends always are
   Version version = 0;
+  std::uint64_t size = 0;       ///< object length after the write
 };
 
 /// Outcome of a read: data plus the number of distinct extents touched
@@ -51,6 +69,8 @@ struct ReadOutcome {
   Bytes data;
   std::uint32_t extents_touched = 0;
   std::uint64_t covered = 0;
+  std::uint64_t size = 0;
+  Version version = 0;
 };
 
 /// Outcome of a read_into: like ReadOutcome but the data went straight into
@@ -59,6 +79,9 @@ struct ReadIntoOutcome {
   std::uint64_t data_len = 0;   ///< bytes within the object (what a wire reply would carry)
   std::uint64_t covered = 0;    ///< extent-backed bytes among data_len
   std::uint32_t extents_touched = 0;
+  std::uint64_t size = 0;
+  Version version = 0;
+  std::uint64_t digest = 0;     ///< span digest of the read window (0 = not requested)
 };
 
 /// Outcome of a span_probe: the digest a quorum vote ships plus the exact
@@ -69,11 +92,27 @@ struct SpanProbeOutcome {
   std::uint64_t data_len = 0;   ///< bytes a payload read would carry
   std::uint64_t covered = 0;    ///< extent-backed bytes among data_len
   std::uint32_t extents_touched = 0;
+  std::uint64_t size = 0;
+  Version version = 0;
 };
 
 class StorageEngine {
  public:
+  /// Number of internal shards (power of two). BlobServer's lock stripes
+  /// are these shards: a mutation holding stripe s touches only shard s.
+  static constexpr std::size_t kShards = 64;
+
+  /// Shard (= server lock stripe) of a key.
+  [[nodiscard]] static std::size_t shard_of(std::string_view key) noexcept;
+
   explicit StorageEngine(EngineConfig cfg = {});
+  StorageEngine(StorageEngine&& other) noexcept;
+  /// Replaces the contents shard by shard, each under that shard's lock, so
+  /// a server can swap in a fresh or recovered engine (crash, restart)
+  /// while unlocked single-key peeks are in flight.
+  StorageEngine& operator=(StorageEngine&& other) noexcept;
+  StorageEngine(const StorageEngine&) = delete;
+  StorageEngine& operator=(const StorageEngine&) = delete;
 
   /// Rebuild an engine from a persistence directory: load the newest valid
   /// checkpoint (corrupt ones are skipped), replay WAL records past its
@@ -93,6 +132,8 @@ class StorageEngine {
   /// in the attached journal's directory, covering every record assigned so
   /// far. With `prune_wal` the log is reset afterwards (bounded replay, at
   /// the cost of older-checkpoint fallback depth). Returns the covered LSN.
+  /// The caller keeps mutations out for the duration; one that slips in
+  /// fails the snapshot with busy.
   Result<std::uint64_t> write_checkpoint(bool prune_wal = false);
 
   /// Create an empty object. Fails with already_exists if present.
@@ -130,8 +171,10 @@ class StorageEngine {
   /// skipping the intermediate ReadOutcome allocation+copy of read().
   /// Contract: `dst` is pre-zeroed by the caller — holes and the tail past
   /// the object's length are left untouched (they already read as zero).
+  /// With `want_digest` the outcome also carries span_probe's digest of the
+  /// same window, taken under the same lock hold.
   Result<ReadIntoOutcome> read_into(const std::string& key, std::uint64_t offset,
-                                    MutableByteView dst) const;
+                                    MutableByteView dst, bool want_digest = false) const;
 
   /// Metadata-proportional span digest for quorum votes: folds the stored
   /// per-extent checksums overlapping [offset, offset + len) — clipped at
@@ -156,6 +199,8 @@ class StorageEngine {
 
   Result<std::uint64_t> size(const std::string& key) const;
   Result<Version> version(const std::string& key) const;
+  /// Size and version from one lock hold.
+  Result<BlobStat> stat(const std::string& key) const;
 
   /// Force the object's version to `v` without touching its contents.
   /// Repair paths (resync, scrub, hint drain, rebalance) use this to install
@@ -164,20 +209,31 @@ class StorageEngine {
   /// reads rely on. Journaled (WalOp::set_version) so recovery round-trips.
   Status set_version(const std::string& key, Version v);
 
-  /// All keys in lexicographic order, optionally filtered by prefix.
-  /// The walk always visits every object (the namespace is flat; prefix
-  /// filtering is not an index) — the cost model reflects that.
-  [[nodiscard]] std::vector<BlobStat> scan(const std::string& prefix = {}) const;
+  /// Install an exact copy — contents `data` at offset 0, logical size,
+  /// version — replacing whatever is present, in one lock hold: readers see
+  /// the old object or the new one, never a missing key. Journaled as the
+  /// remove / write / truncate / set_version records it is made of.
+  Status install(const std::string& key, ByteView data, std::uint64_t logical_size,
+                 Version version);
 
-  [[nodiscard]] std::uint64_t object_count() const noexcept { return objects_.size(); }
+  /// All keys in lexicographic order, optionally filtered by prefix.
+  /// The simulated server charges a walk over every object (the flat
+  /// namespace has no directory index), so `visited` (when non-null)
+  /// receives the object count; the in-memory walk itself starts each
+  /// shard at the prefix.
+  [[nodiscard]] std::vector<BlobStat> scan(const std::string& prefix = {},
+                                           std::uint64_t* visited = nullptr) const;
+
+  [[nodiscard]] std::uint64_t object_count() const;
 
   // --- space accounting / compaction ---
-  [[nodiscard]] std::uint64_t live_bytes() const noexcept { return live_bytes_; }
-  [[nodiscard]] std::uint64_t dead_bytes() const noexcept { return dead_bytes_; }
-  [[nodiscard]] std::uint64_t segments_total() const noexcept { return segments_.size(); }
-  [[nodiscard]] bool needs_compaction() const noexcept;
+  [[nodiscard]] std::uint64_t live_bytes() const;
+  [[nodiscard]] std::uint64_t dead_bytes() const;
+  [[nodiscard]] std::uint64_t segments_total() const;
+  [[nodiscard]] bool needs_compaction() const;
 
-  /// Rewrite all live extents into fresh segments; returns bytes reclaimed.
+  /// Rewrite all live extents into fresh segments (shard by shard); returns
+  /// bytes reclaimed.
   std::uint64_t compact();
 
   /// Verify every extent checksum (failure injection tests flip bytes).
@@ -204,20 +260,56 @@ class StorageEngine {
     std::vector<Extent> extents;  ///< sorted by log_off, non-overlapping
   };
 
-  /// Append raw data to the log; returns (segment, seg_off).
-  std::pair<std::uint32_t, std::uint64_t> append_to_log(ByteView data);
+  /// One shard's slice of the engine; every field is guarded by `mu`.
+  struct Shard {
+    mutable std::mutex mu;
+    std::map<std::string, ObjectRec> objects;
+    std::map<std::string, Version> removed_floors;  ///< last version of removed keys
+    std::vector<Bytes> segments;                    ///< empty until the first append
+    std::uint32_t active = 0;                       ///< index of the open (append) segment
+    std::vector<std::uint64_t> seg_live;            ///< live bytes per segment slot
+    std::vector<std::uint32_t> free_slots;          ///< fully-dead slots ready for reuse
+    std::uint64_t live_bytes = 0;
+    std::uint64_t dead_bytes = 0;
+  };
+  using Shards = std::array<Shard, kShards>;
 
-  /// Account `n` bytes of `segment` dead (live_bytes_/dead_bytes_/per-segment
+  [[nodiscard]] Shard& shard(std::string_view key) const noexcept {
+    return (*shards_)[shard_of(key)];
+  }
+
+  /// Lock a shard, publishing engine.shard.acquisitions and, when the lock
+  /// was already held, engine.shard.contended.
+  [[nodiscard]] static std::unique_lock<std::mutex> lock(const Shard& s);
+
+  // The helpers below run with the shard's lock held.
+
+  /// Append raw data to the shard's log; returns (segment, seg_off).
+  std::pair<std::uint32_t, std::uint64_t> append_to_log(Shard& s, ByteView data);
+
+  /// Account `n` bytes of `segment` dead (live/dead bytes and per-segment
   /// live count) and recycle the slot if the segment is now fully dead.
-  void retire_bytes(std::uint32_t segment, std::uint64_t n);
+  void retire_bytes(Shard& s, std::uint32_t segment, std::uint64_t n);
 
   /// If `segment` is sealed, non-empty and fully dead, clear its buffer and
   /// put the slot on the free list so the next sealed-segment transition
   /// reuses it (warm pages) instead of faulting a fresh allocation.
-  void maybe_recycle(std::uint32_t segment);
+  void maybe_recycle(Shard& s, std::uint32_t segment);
 
   /// Replace [off, off+len) of the object's extent list with a new extent.
-  void supersede_range(ObjectRec& rec, std::uint64_t off, std::uint64_t len);
+  void supersede_range(Shard& s, ObjectRec& rec, std::uint64_t off, std::uint64_t len);
+
+  Result<WriteOutcome> write_locked(Shard& s, const std::string& key, std::uint64_t offset,
+                                    ByteView data, bool create_if_missing,
+                                    std::uint64_t checksum);
+  Status remove_locked(Shard& s, const std::string& key);
+  Result<Version> truncate_locked(Shard& s, const std::string& key, std::uint64_t new_size);
+  Status set_version_locked(Shard& s, const std::string& key, Version v);
+  std::uint64_t compact_locked(Shard& s);
+  [[nodiscard]] static Status verify_locked(const Shard& s, const std::string& key,
+                                            const ObjectRec& rec);
+  [[nodiscard]] static SpanProbeOutcome probe_locked(const Shard& s, const ObjectRec& rec,
+                                                     std::uint64_t offset, std::uint64_t len);
 
   /// Append a record to the attached journal (no-op without one).
   Status journal_append(persist::WalRecord rec);
@@ -228,20 +320,16 @@ class StorageEngine {
 
   /// Consume the version floor a prior remove left for `key` (0 if none):
   /// the recreated object's version sequence starts above it.
-  Version take_floor(const std::string& key);
+  static Version take_floor(Shard& s, const std::string& key);
 
   EngineConfig cfg_;
-  std::map<std::string, ObjectRec> objects_;
-  std::map<std::string, Version> removed_floors_;  ///< last version of removed keys
-  std::vector<Bytes> segments_;
-  std::uint32_t active_ = 0;                ///< index of the open (append) segment
-  std::vector<std::uint64_t> seg_live_;     ///< live bytes per segment slot
-  std::vector<std::uint32_t> free_slots_;   ///< fully-dead slots ready for reuse
-  /// Slots beyond this many on the free list drop their buffer memory (the
-  /// slot itself is still reused, it just re-reserves on next open).
+  std::unique_ptr<Shards> shards_;
+  /// Sealed, fully-dead slots still holding their buffer, across all shards.
+  /// Past kWarmSlots a recycled slot drops its buffer memory (the slot itself
+  /// is still reused, it just re-reserves on next open): the warm budget is
+  /// per engine, not per shard.
+  std::atomic<std::size_t> warm_slots_{0};
   static constexpr std::size_t kWarmSlots = 8;
-  std::uint64_t live_bytes_ = 0;
-  std::uint64_t dead_bytes_ = 0;
   persist::Journal* journal_ = nullptr;
 };
 

@@ -35,14 +35,15 @@ Bytes KvStore::encode_bucket(const Entries& entries) {
 Result<KvStore::Entries> KvStore::load_bucket(blob::BlobClient& client,
                                               std::uint32_t bucket,
                                               blob::Version* version) {
-  // stat and read are two separate blob ops: a commit landing between them
-  // hands us the size of one bucket incarnation and the bytes of another,
-  // and the truncated-or-padded encoding decodes as garbage. Such a torn
+  // stat and read are two separate blob ops, so a commit can land between
+  // them. The read therefore asks for the whole first chunk rather than the
+  // stat's size: the reply is clipped at EOF, so a single-chunk bucket
+  // always arrives as one whole incarnation, and the stale version it pairs
+  // with fails the transaction's expect_version (which reloads). A bucket
+  // striped over several chunks can still tear across chunk legs; a torn
   // snapshot is indistinguishable from real corruption here, but unlike
-  // corruption it heals on reload (each tear requires a fresh concurrent
-  // commit), so retry before concluding the bucket is damaged. A same-size
-  // overwrite decodes fine with a stale version and is caught later by the
-  // transaction's expect_version.
+  // corruption it heals on reload, so retry before concluding the bucket
+  // is damaged.
   constexpr std::uint32_t kTornLoadRetries = 8;
   Error torn{Errc::io_error, "corrupt bucket"};
   for (std::uint32_t attempt = 0; attempt < kTornLoadRetries; ++attempt) {
@@ -52,7 +53,8 @@ Result<KvStore::Entries> KvStore::load_bucket(blob::BlobClient& client,
       return Entries{};
     }
     if (version) *version = st.value().version;
-    auto data = client.read(bucket_key(bucket), 0, st.value().size);
+    auto data = client.read(bucket_key(bucket), 0,
+                            std::max(st.value().size, store_->config().chunk_bytes));
     if (!data.ok()) return data.error();
     rpc::WireReader r(as_view(data.value()));
     auto count = r.get_u32();

@@ -228,6 +228,7 @@ Status Journal::flush_buffer(bool do_fsync) {
 }
 
 Status Journal::append(WalRecord rec) {
+  std::scoped_lock lk(mu_);
   if (fd_ < 0) return {Errc::closed, "journal closed"};
   const bool timed = obs::metrics_enabled();
   const std::uint64_t t0 = timed ? wall_now_us() : 0;
@@ -255,9 +256,13 @@ Status Journal::append(WalRecord rec) {
   return st;
 }
 
-Status Journal::sync() { return flush_buffer(true); }
+Status Journal::sync() {
+  std::scoped_lock lk(mu_);
+  return flush_buffer(true);
+}
 
 void Journal::abandon() {
+  std::scoped_lock lk(mu_);
   buf_.clear();
   buf_records_ = 0;
   if (fd_ >= 0) {
@@ -267,6 +272,7 @@ void Journal::abandon() {
 }
 
 Status Journal::truncate_log() {
+  std::scoped_lock lk(mu_);
   if (fd_ < 0) return {Errc::closed, "journal closed"};
   buf_.clear();
   buf_records_ = 0;

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -156,8 +157,10 @@ struct JournalConfig {
   std::uint64_t group_bytes = 256 * 1024;  ///< ... or this many buffered bytes
 };
 
-/// Append-only journal over `<dir>/wal.log`. Not thread-safe: the engine
-/// only appends with its own mutex held (same contract as the engine).
+/// Append-only journal over `<dir>/wal.log`. Thread-safe behind one leaf
+/// mutex: the engine's shards append concurrently (each with its own shard
+/// lock held, so one key's records keep their apply order), and group
+/// commit batches whatever they interleave into.
 class Journal {
  public:
   /// Open (creating `dir` if needed). An existing log is scanned to
@@ -186,22 +189,36 @@ class Journal {
   /// StorageEngine::write_checkpoint(prune_wal).
   Status truncate_log();
 
-  [[nodiscard]] std::uint64_t next_lsn() const noexcept { return next_lsn_; }
-  [[nodiscard]] std::uint64_t last_assigned_lsn() const noexcept { return next_lsn_ - 1; }
+  [[nodiscard]] std::uint64_t next_lsn() const {
+    std::scoped_lock lk(mu_);
+    return next_lsn_;
+  }
+  [[nodiscard]] std::uint64_t last_assigned_lsn() const { return next_lsn() - 1; }
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
   [[nodiscard]] const JournalConfig& config() const noexcept { return cfg_; }
 
   // Counters for benches / observability.
-  [[nodiscard]] std::uint64_t appended_records() const noexcept { return append_count_; }
-  [[nodiscard]] std::uint64_t fsync_count() const noexcept { return fsync_count_; }
-  [[nodiscard]] std::uint64_t buffered_bytes() const noexcept { return buf_.size(); }
+  [[nodiscard]] std::uint64_t appended_records() const {
+    std::scoped_lock lk(mu_);
+    return append_count_;
+  }
+  [[nodiscard]] std::uint64_t fsync_count() const {
+    std::scoped_lock lk(mu_);
+    return fsync_count_;
+  }
+  [[nodiscard]] std::uint64_t buffered_bytes() const {
+    std::scoped_lock lk(mu_);
+    return buf_.size();
+  }
 
  private:
   Journal(std::string dir, JournalConfig cfg, int fd, std::uint64_t next_lsn)
       : dir_(std::move(dir)), cfg_(cfg), fd_(fd), next_lsn_(next_lsn) {}
 
+  /// Caller holds mu_.
   Status flush_buffer(bool do_fsync);
 
+  mutable std::mutex mu_;  ///< leaf lock over everything below
   std::string dir_;
   JournalConfig cfg_;
   int fd_ = -1;

@@ -147,6 +147,37 @@ TEST(BlobConcurrency, MultiChunkWritersConvergePerChunk) {
   EXPECT_TRUE(rig.store.verify_all_integrity().ok());
 }
 
+TEST(BlobConcurrency, MultiChunkOverwritesShareTheRetryBucket) {
+  // A multi-chunk overwrite fans its per-primary groups out on the client's
+  // pool, and every group leg earns into the client-wide retry bucket from
+  // its own pool thread. The bucket must be guarded (run under TSan).
+  constexpr int kThreads = 4;
+  StoreConfig cfg;
+  cfg.chunk_bytes = 64 * 1024;
+  cfg.deadline.retry_token_cap = 16.0;  // bucket on
+  MtRig rig(kThreads, cfg);
+  ThreadPool pool(kThreads);
+  constexpr std::uint64_t kBlobBytes = 512 * 1024;  // 8 chunks over several primaries
+  constexpr int kRounds = 8;
+  pool.parallel_for(kThreads, [&](std::size_t t) {
+    BlobClient& client = *rig.clients[t];
+    for (int i = 0; i < kRounds; ++i) {
+      const Bytes data = make_payload(t * 100 + static_cast<std::uint64_t>(i), 0, kBlobBytes);
+      ASSERT_TRUE(client.write(strfmt("rb-%zu", t), 0, as_view(data)).ok());
+    }
+  });
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const std::string key = strfmt("rb-%zu", t);
+    const Bytes want = make_payload(t * 100 + kRounds - 1, 0, kBlobBytes);
+    auto r = rig.clients[t]->read(key, 0, kBlobBytes);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(equal(as_view(r.value()), as_view(want))) << key;
+    for (std::uint64_t c = 0; c * cfg.chunk_bytes < kBlobBytes; ++c) {
+      expect_replicas_identical(rig.store, chunk_engine_key(key, c));
+    }
+  }
+}
+
 TEST(BlobConcurrency, TransactionsAndStripedWritersDoNotDeadlock) {
   constexpr int kThreads = 8;
   MtRig rig(kThreads);
