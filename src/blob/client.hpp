@@ -19,11 +19,17 @@
 // racing on one key serialize identically on every replica while writers to
 // distinct keys proceed in parallel.
 //
-// Striping: I/O past StoreConfig::chunk_bytes is split into chunk legs, one
-// per chunk, each placed independently on the ring (chunk 0 under the
-// application key itself, carrying the full logical size). Legs fork from
-// the same simulated instant and the call completes at the slowest leg
-// (scatter-gather). Blobs at or below one chunk never pay for striping.
+// Striping: I/O past StoreConfig::chunk_bytes is split into chunks, each
+// placed independently on the ring (chunk 0 under the application key
+// itself, carrying the full logical size). Blobs at or below one chunk never
+// pay for striping: single-chunk ops run one leg (read_leg / stat_leg /
+// mutation_leg). A striped op has one path: mutations run the chunk-0 base
+// leg, then ship chunks c >= 1 as one batch envelope per acting primary;
+// reads ship one envelope per candidate replica set, with a piggybacked stat
+// sub verifying the client metadata cache's layout. Envelopes fork from the
+// same simulated instant and the call completes at the slowest one
+// (scatter-gather). chunk_bytes = 0 turns striping off: every op is a
+// single-key leg.
 #pragma once
 
 #include <cstdint>
@@ -200,26 +206,22 @@ class BlobClient {
   /// (coordinator); further replicas ack until the configured write quorum
   /// is met, and replicas that are down, stale, or unreachable through the
   /// fault injector are recorded as hinted-handoff entries on the primary.
-  /// `force_create` lets a write leg create the key regardless of
-  /// StoreConfig::write_creates (chunk keys of an existing blob).
   /// Pre-leg state of the mutated key, observed under the leg's own lock
-  /// round (one version exchange — no extra stat round). The batched striped
-  /// paths use it for chunk layout (pre_size) and the metadata cache
-  /// (new_version) instead of a separate peek.
+  /// round (one version exchange — no extra stat round). Striped mutations
+  /// use it for chunk layout (pre_size) and the metadata cache (new_version)
+  /// instead of a separate peek.
   struct LegInfo {
     bool pre_exists = false;
     std::uint64_t pre_size = 0;  ///< authoritative logical size before the leg
     Version new_version = 0;     ///< key's version after a successful leg
   };
   Status mutation_leg(const std::string& ekey, const std::vector<BlobServer::TxnOp>& ops,
-                      bool force_create, SimMicros start, SimMicros* completion,
-                      LegInfo* info = nullptr);
+                      SimMicros start, SimMicros* completion, LegInfo* info = nullptr);
 
   /// Single-leg convenience wrapper: runs the leg at the agent's current
   /// time and advances the agent to its completion.
   Status replicated_mutation(std::string_view key,
-                             const std::vector<BlobServer::TxnOp>& ops,
-                             bool force_create = false);
+                             const std::vector<BlobServer::TxnOp>& ops);
 
   /// One read leg, forked from `start`. With read quorum 1 the leg fails
   /// over through the live replica set (retrying per policy) and optionally
@@ -231,11 +233,6 @@ class BlobClient {
   /// Charged stat with the same failover/quorum arbitration as read_leg.
   Result<BlobStat> stat_leg(const std::string& ekey, SimMicros start,
                             SimMicros* completion);
-
-  /// Uncharged logical-size peek for layout decisions. Classic mode asks
-  /// the acting primary (always freshest); quorum mode arbitrates by
-  /// version across live replicas.
-  Result<std::uint64_t> peek_logical_size(const std::string& ekey);
 
   // --- elastic membership (placement cache + epoch protocol) ---------------
 
@@ -311,11 +308,15 @@ class BlobClient {
   void demote_suspects(std::vector<std::uint32_t>& candidates);
   [[nodiscard]] NodeHealth::Breaker breaker_state(std::uint32_t node);
 
-  // --- batched scatter-gather (StoreConfig::batched_striping) --------------
+  // --- batched scatter-gather (every striped op) ---------------------------
 
-  /// One chunk-granular mutation of a batched wave. `op.key` is fixed up to
-  /// point at `ekey` once the wave's sub vector is final (short keys live in
-  /// SSO storage, so the pointer is only stable after the last push_back).
+  /// One chunk-granular mutation of a batched wave: a chunk c >= 1 of a
+  /// striped write, truncate or remove (the chunk-0 base leg runs through
+  /// mutation_leg first and plans the wave). Write subs create their chunk
+  /// key on demand; truncate/remove subs tolerate an absent key (a hole).
+  /// `op.key` is fixed up to point at `ekey` once the wave's sub vector is
+  /// final (short keys live in SSO storage, so the pointer is only stable
+  /// after the last push_back).
   struct BatchSub {
     std::string ekey;
     std::uint64_t chunk = 0;           ///< chunk index (grouping / coalescing)
@@ -360,30 +361,27 @@ class BlobClient {
   /// candidate, arbitrated per sub-op by version (digest tie-break), with
   /// stale sub-ops re-fetched from the winning replica. Hedging composes: a
   /// slow payload envelope arms a delayed duplicate to candidates[1]. When
-  /// an envelope cannot be delivered (fault injector), falls back to legacy
-  /// per-chunk read_leg calls for this group's subs.
+  /// an envelope cannot be delivered even after one whole-envelope re-send
+  /// (fault injector), the group's subs fall back to per-chunk read_leg /
+  /// stat_leg calls, which fail over replica by replica.
   Status read_group_leg(std::vector<ReadSub*>& subs,
                         const std::vector<std::uint32_t>& candidates,
                         SimMicros start, SimMicros* completion);
 
-  /// Striped read over batch envelopes + the metadata cache. Handles every
-  /// read configuration — R > 1 arbitrates per-sub versions inside the
-  /// batch envelopes (see read_group_leg) instead of degrading to per-leg.
-  Result<Bytes> batched_striped_read(std::string_view key, std::uint64_t offset,
-                                     std::uint64_t len);
-
   /// size()/stat() backend: metadata-cache lookup first (a hit answers with
   /// zero rounds; the entry is invalidated on local mutation and verified by
-  /// the piggybacked stat sub of every batched read), falling back to one
+  /// the piggybacked stat sub of every striped read), falling back to one
   /// charged stat round that primes the cache.
   Result<BlobStat> cached_stat(const std::string& base);
 
-  // --- client metadata cache (StoreConfig::client_meta_cache) --------------
+  // --- client metadata cache ----------------------------------------------
 
-  /// Cached chunk-0 metadata: logical blob size + chunk-0 version. Verified
-  /// by the stat sub piggybacked on every batched read round and invalidated
-  /// on any local mutation or observed drift. Per-client (the client is
-  /// bound to one logical thread), so no lock.
+  /// Cached chunk-0 metadata: logical blob size + chunk-0 version. Supplies
+  /// the layout of every striped read (no stat round before the data
+  /// envelopes) and answers size()/stat() with zero rounds. Verified by the
+  /// stat sub piggybacked on every striped read round and invalidated on
+  /// any local mutation or observed drift. Per-client (the client is bound
+  /// to one logical thread), so no lock.
   struct MetaEntry {
     std::uint64_t logical = 0;
     Version v0 = 0;

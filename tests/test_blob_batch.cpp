@@ -1,10 +1,12 @@
-// Batched scatter-gather striping: wire envelope round-trips, batched vs
-// per-leg equivalence (byte contents, sizes, replica convergence), chunk
-// coalescing, hole accounting in the read counters, the client metadata
-// cache under concurrent truncate/remove/recreate, and the single-round
-// behavior of absent / at-EOF striped reads.
+// Batched scatter-gather striping: wire envelope round-trips, equivalence
+// with an unstriped reference store (byte contents, sizes, errors, replica
+// convergence), chunk coalescing, hole accounting in the read counters, the
+// client metadata cache under concurrent truncate/remove/recreate, the
+// single-round behavior of absent / at-EOF striped reads, and striped I/O
+// through an RPC fault injector.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -13,6 +15,7 @@
 #include "blob/client.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
+#include "rpc/fault.hpp"
 #include "rpc/wire.hpp"
 
 namespace bsc::blob {
@@ -20,17 +23,13 @@ namespace {
 
 constexpr std::uint64_t kChunk = 1ULL << 20;
 
-StoreConfig batched_cfg() {
+/// The reference store of the equivalence checks: chunk_bytes = 0 never
+/// stripes, so every op runs as one single-key leg (read_leg / stat_leg /
+/// mutation_leg) — an implementation independent of the batched striped
+/// path under test. It also covers the remove/truncate chunk_bytes == 0 guard.
+StoreConfig unstriped_cfg() {
   StoreConfig cfg;
-  cfg.batched_striping = true;
-  cfg.client_meta_cache = true;
-  return cfg;
-}
-
-StoreConfig per_leg_cfg() {
-  StoreConfig cfg;
-  cfg.batched_striping = false;
-  cfg.client_meta_cache = false;
+  cfg.chunk_bytes = 0;
   return cfg;
 }
 
@@ -103,7 +102,7 @@ TEST(BatchWire, RejectsUnknownKindAndTruncation) {
   EXPECT_FALSE(rpc::decode_batch_request(as_view(buf)).ok());
 }
 
-// --- batched vs per-leg equivalence ---------------------------------------
+// --- batched striped vs unstriped (single-leg) equivalence ---------------
 
 /// Runs one scripted striped workload against a fresh store and returns the
 /// full observable state: every app-level read plus final sizes.
@@ -167,7 +166,7 @@ ScriptResult run_script(const StoreConfig& cfg) {
   // Absent blob: striped-range read of a key that never existed.
   record_read("ghost", 0, 5 * kChunk);
 
-  // Replica convergence: scrub must be clean in both modes.
+  // Replica convergence: scrub must be clean on both stores.
   const auto report = store.scrub(/*repair=*/false, &agent);
   EXPECT_EQ(report.divergent_replicas, 0u);
   EXPECT_EQ(report.checksum_errors, 0u);
@@ -175,48 +174,43 @@ ScriptResult run_script(const StoreConfig& cfg) {
   return out;
 }
 
-void expect_equivalent(const ScriptResult& on, const ScriptResult& off) {
-  ASSERT_EQ(on.reads.size(), off.reads.size());
-  ASSERT_EQ(on.errs, off.errs);
-  ASSERT_EQ(on.sizes, off.sizes);
-  for (std::size_t i = 0; i < on.reads.size(); ++i) {
-    EXPECT_TRUE(equal(as_view(on.reads[i]), as_view(off.reads[i])))
-        << "read " << i << " diverged between the two modes";
+void expect_equivalent(const ScriptResult& striped, const ScriptResult& reference) {
+  ASSERT_EQ(striped.reads.size(), reference.reads.size());
+  ASSERT_EQ(striped.errs, reference.errs);
+  ASSERT_EQ(striped.sizes, reference.sizes);
+  for (std::size_t i = 0; i < striped.reads.size(); ++i) {
+    EXPECT_TRUE(equal(as_view(striped.reads[i]), as_view(reference.reads[i])))
+        << "read " << i << " diverged from the unstriped reference";
   }
 }
 
+// "PerLeg" in these names is the reference: the unstriped store, where
+// every op is one single-key leg.
 TEST(BatchEquivalence, BatchedAndPerLegProduceIdenticalResults) {
-  expect_equivalent(run_script(batched_cfg()), run_script(per_leg_cfg()));
-}
-
-TEST(BatchEquivalence, PerLegWithMetaCacheMatchesUncached) {
-  StoreConfig cached = per_leg_cfg();
-  cached.client_meta_cache = true;
-  expect_equivalent(run_script(cached), run_script(per_leg_cfg()));
+  expect_equivalent(run_script(StoreConfig{}), run_script(unstriped_cfg()));
 }
 
 TEST(QuorumBatchEquivalence, R2BatchedMatchesPerLeg) {
-  StoreConfig on = batched_cfg();
+  StoreConfig on;
   on.write_quorum = 2;  // replication 3 -> R = 2: every read arbitrates
-  StoreConfig off = per_leg_cfg();
+  StoreConfig off = unstriped_cfg();
   off.write_quorum = 2;
   expect_equivalent(run_script(on), run_script(off));
 }
 
 TEST(QuorumBatchEquivalence, R3BatchedMatchesPerLeg) {
-  StoreConfig on = batched_cfg();
+  StoreConfig on;
   on.write_quorum = 1;  // replication 3 -> R = 3: full-set arbitration
-  StoreConfig off = per_leg_cfg();
+  StoreConfig off = unstriped_cfg();
   off.write_quorum = 1;
   expect_equivalent(run_script(on), run_script(off));
 }
 
 TEST(QuorumBatchEquivalence, HedgedBatchedMatchesPerLeg) {
-  StoreConfig on = batched_cfg();
+  StoreConfig on;
   on.hedge.enabled = true;
   on.hedge.fixed_delay_us = 1;  // hedge aggressively; results must not change
-  StoreConfig off = per_leg_cfg();
-  expect_equivalent(run_script(on), run_script(off));
+  expect_equivalent(run_script(on), run_script(unstriped_cfg()));
 }
 
 // --- coalescing -----------------------------------------------------------
@@ -226,7 +220,7 @@ TEST(BatchCoalescing, AdjacentChunksOnOnePrimaryShareASubHeader) {
   // the chunk legs of a striped write form a single batch whose consecutive
   // chunks coalesce into one vectored sub-op.
   sim::Cluster cluster{sim::ClusterSpec::with_storage_nodes(1)};
-  StoreConfig cfg = batched_cfg();
+  StoreConfig cfg;
   cfg.replication = 1;
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
@@ -247,9 +241,10 @@ TEST(BatchCoalescing, AdjacentChunksOnOnePrimaryShareASubHeader) {
 // --- hole accounting (satellite: bytes_read counted zero-filled bytes) ----
 
 TEST(BatchHoleAccounting, BytesReadCountsExtentBackedBytesOnly) {
-  for (const bool batched : {true, false}) {
+  // The striped store and the unstriped reference decompose identically.
+  for (const bool striped : {true, false}) {
     sim::Cluster cluster;
-    BlobStore store(cluster, batched ? batched_cfg() : per_leg_cfg());
+    BlobStore store(cluster, striped ? StoreConfig{} : unstriped_cfg());
     sim::SimAgent agent;
     BlobClient client(store, &agent);
 
@@ -259,9 +254,9 @@ TEST(BatchHoleAccounting, BytesReadCountsExtentBackedBytesOnly) {
     auto r = client.read("h", 0, 4 * kChunk);
     ASSERT_TRUE(r.ok());
     ASSERT_EQ(r.value().size(), logical);
-    EXPECT_EQ(client.counters().bytes_read, 4096u) << "batched=" << batched;
+    EXPECT_EQ(client.counters().bytes_read, 4096u) << "striped=" << striped;
     EXPECT_EQ(client.counters().read_hole_bytes, logical - 4096u)
-        << "batched=" << batched;
+        << "striped=" << striped;
 
     // Single-chunk path: truncate-up creates a tail hole inside chunk 0.
     ASSERT_TRUE(client.write("s", 0, as_view(make_payload(7, 0, 100))).ok());
@@ -269,9 +264,9 @@ TEST(BatchHoleAccounting, BytesReadCountsExtentBackedBytesOnly) {
     auto sr = client.read("s", 0, 50000);
     ASSERT_TRUE(sr.ok());
     ASSERT_EQ(sr.value().size(), 50000u);
-    EXPECT_EQ(client.counters().bytes_read, 4096u + 100u) << "batched=" << batched;
+    EXPECT_EQ(client.counters().bytes_read, 4096u + 100u) << "striped=" << striped;
     EXPECT_EQ(client.counters().read_hole_bytes, (logical - 4096u) + 49900u)
-        << "batched=" << batched;
+        << "striped=" << striped;
   }
 }
 
@@ -280,7 +275,7 @@ TEST(BatchHoleAccounting, BytesReadCountsExtentBackedBytesOnly) {
 class MetaCacheTest : public ::testing::Test {
  protected:
   sim::Cluster cluster_;
-  BlobStore store_{cluster_, batched_cfg()};
+  BlobStore store_{cluster_};
   sim::SimAgent agent_a_, agent_b_;
   BlobClient a_{store_, &agent_a_};
   BlobClient b_{store_, &agent_b_};
@@ -351,7 +346,7 @@ TEST_F(MetaCacheTest, LocalMutationsInvalidate) {
 
 TEST(QuorumBatchedReads, SixteenChunkReadShipsOneEnvelopePerGroupReplica) {
   sim::Cluster cluster;
-  StoreConfig cfg = batched_cfg();
+  StoreConfig cfg;
   cfg.write_quorum = 2;  // replication 3 -> R = 2
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
@@ -393,7 +388,7 @@ TEST(QuorumBatchedReads, SixteenChunkReadShipsOneEnvelopePerGroupReplica) {
 
 TEST(QuorumBatchedReads, StaleReplicaPayloadLosesTheVoteAndIsRefetched) {
   sim::Cluster cluster;
-  StoreConfig cfg = batched_cfg();
+  StoreConfig cfg;
   cfg.write_quorum = 2;  // R = 2
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
@@ -426,7 +421,7 @@ TEST(QuorumBatchedReads, StaleReplicaPayloadLosesTheVoteAndIsRefetched) {
 
 TEST(QuorumBatchedReads, OlderVersionIdenticalPayloadAcceptedByDigest) {
   sim::Cluster cluster;
-  StoreConfig cfg = batched_cfg();
+  StoreConfig cfg;
   cfg.write_quorum = 2;  // R = 2
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
@@ -459,7 +454,7 @@ TEST(QuorumBatchedReads, HolesArbitrateAtR2) {
   // Sparse blob at R = 2: chunks 0-2 are absent on every replica (a hole is
   // "absent everywhere", not a stale divergence) and must stay zero.
   sim::Cluster cluster;
-  StoreConfig cfg = batched_cfg();
+  StoreConfig cfg;
   cfg.write_quorum = 2;
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
@@ -479,7 +474,7 @@ TEST(QuorumBatchedReads, HolesArbitrateAtR2) {
 
 TEST(HedgedBatchedReads, HedgeComposesWithBatchedStriping) {
   sim::Cluster cluster;
-  StoreConfig cfg = batched_cfg();
+  StoreConfig cfg;
   cfg.hedge.enabled = true;
   cfg.hedge.fixed_delay_us = 1;        // hedge on every group
   cfg.hedge.min_samples = 1u << 30;    // stay on the fixed delay
@@ -509,13 +504,13 @@ TEST(HedgedBatchedReads, HedgeComposesWithBatchedStriping) {
   EXPECT_EQ(client2.counters().quorum_refetches, 0u);
 }
 
-// --- read accounting across the three read paths (satellite) --------------
+// --- read accounting across the read paths --------------------------------
 
 TEST(ReadAccounting, AllReadPathsDecomposeIdentically) {
   // The same logical content and read script must yield byte-identical
   // results AND identical {bytes_read, read_hole_bytes} decompositions on
-  // every read path: single-chunk (chunk_bytes = 0), per-leg striped
-  // (cached and uncached), and batched striped (R = 1 and R = 2).
+  // every read path: single-chunk (chunk_bytes = 0, the reference) and
+  // batched striped (R = 1 and R = 2).
   struct Totals {
     std::uint64_t bytes_read = 0;
     std::uint64_t holes = 0;
@@ -549,18 +544,13 @@ TEST(ReadAccounting, AllReadPathsDecomposeIdentically) {
     return t;
   };
 
-  StoreConfig single = batched_cfg();
-  single.chunk_bytes = 0;  // never stripes: the single-chunk read path
-  StoreConfig cached_leg = per_leg_cfg();
-  cached_leg.client_meta_cache = true;
-  StoreConfig quorum = batched_cfg();
+  StoreConfig quorum;
   quorum.write_quorum = 2;
 
-  const Totals base = run(single);
+  const Totals base = run(unstriped_cfg());
   // Decomposition identity: every returned byte is extent-backed or hole.
   EXPECT_EQ(base.bytes_read + base.holes, base.returned);
-  for (const StoreConfig& cfg :
-       {per_leg_cfg(), cached_leg, batched_cfg(), quorum}) {
+  for (const StoreConfig& cfg : {StoreConfig{}, quorum}) {
     const Totals t = run(cfg);
     EXPECT_EQ(t.bytes_read, base.bytes_read);
     EXPECT_EQ(t.holes, base.holes);
@@ -610,44 +600,11 @@ TEST_F(MetaCacheTest, SizeAndStatAnswerFromTheCache) {
   EXPECT_EQ(b_.counters().metacache_misses, misses + 1);
 }
 
-TEST(PerLegMetaCache, StripedReadsCountHitsAndMisses) {
-  // Satellite: the per-leg striped path uses the same cache + counters as
-  // the batched path. A stale entry is detected by the overlapped
-  // verification stat and the read is re-issued with the fresh layout.
-  sim::Cluster cluster;
-  StoreConfig cfg = per_leg_cfg();
-  cfg.client_meta_cache = true;
-  BlobStore store(cluster, cfg);
-  sim::SimAgent agent_a, agent_b;
-  BlobClient a(store, &agent_a);
-  BlobClient b(store, &agent_b);
-
-  const Bytes data = make_payload(15, 0, 3 * kChunk);
-  ASSERT_TRUE(a.write("k", 0, as_view(data)).ok());  // write primes the cache
-  ASSERT_TRUE(a.read("k", 0, 3 * kChunk).ok());
-  ASSERT_TRUE(a.read("k", kChunk, kChunk).ok());
-  EXPECT_EQ(a.counters().metacache_hits, 2u);
-  EXPECT_EQ(a.counters().metacache_misses, 0u);
-
-  ASSERT_TRUE(b.read("k", 0, 3 * kChunk).ok());
-  ASSERT_TRUE(b.read("k", 0, 3 * kChunk).ok());
-  EXPECT_EQ(b.counters().metacache_misses, 1u);
-  EXPECT_EQ(b.counters().metacache_hits, 1u);
-
-  // Concurrent truncate behind a's cache: detected, relayouted, re-read.
-  ASSERT_TRUE(b.truncate("k", kChunk + 5).ok());
-  auto r = a.read("k", 0, 3 * kChunk);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().size(), kChunk + 5);
-  EXPECT_TRUE(equal(as_view(r.value()), subview(as_view(data), 0, kChunk + 5)));
-  EXPECT_GE(a.counters().metacache_invalidations, 1u);
-}
-
 // --- absent / at-EOF striped reads (satellite: full-len probe legs) -------
 
 TEST(BatchProbeEconomy, AbsentStripedReadCostsOneStatRound) {
   sim::Cluster cluster;
-  BlobStore store(cluster, batched_cfg());
+  BlobStore store(cluster);
   sim::SimAgent agent;
   BlobClient client(store, &agent);
 
@@ -667,7 +624,7 @@ TEST(BatchProbeEconomy, AbsentStripedReadCostsOneStatRound) {
 
 TEST(BatchProbeEconomy, AtEofStripedReadShipsNoData) {
   sim::Cluster cluster;
-  BlobStore store(cluster, batched_cfg());
+  BlobStore store(cluster);
   sim::SimAgent agent;
   BlobClient client(store, &agent);
   ASSERT_TRUE(client.write("k", 0, as_view(make_payload(13, 0, 2 * kChunk))).ok());
@@ -679,6 +636,88 @@ TEST(BatchProbeEconomy, AtEofStripedReadShipsNoData) {
   // Verified by a stat round, not by a data batch.
   EXPECT_EQ(client.counters().batch_envelopes, envelopes_before);
   EXPECT_EQ(client.counters().bytes_read, 0u);
+}
+
+// --- striped I/O through the fault injector --------------------------------
+
+/// Drives 4.5-chunk blobs through batch envelopes while one storage node is
+/// first flaky (drops + transient errors), then unreachable (every request
+/// errors, though the node is never marked down). Acked writes must read
+/// back byte-exact; reads must fail over through the whole-group fallback.
+void run_faulted_striped(std::uint32_t write_quorum) {
+  constexpr std::uint64_t kSmallChunk = 64 << 10;
+  constexpr std::uint64_t kLen = 4 * kSmallChunk + kSmallChunk / 2;
+  sim::Cluster cluster;
+  StoreConfig cfg;
+  cfg.chunk_bytes = kSmallChunk;
+  cfg.write_quorum = write_quorum;
+  BlobStore store(cluster, cfg);
+  sim::SimAgent agent;
+  BlobClient client(store, &agent);
+  rpc::FaultInjector injector(0x5eed + write_quorum);
+  store.transport().set_fault_injector(&injector);
+
+  // The victim is the primary of chunk 1 of the first blob, so at least one
+  // read group sends its payload envelope there.
+  const std::uint32_t victim = store.replicas_of(chunk_engine_key("f-00", 1))[0];
+  const std::uint32_t victim_node = store.server(victim).node().id();
+
+  std::map<std::string, Bytes> acked;
+  int key_no = 0;
+  auto write_blobs = [&](int n) {
+    for (int i = 0; i < n; ++i, ++key_no) {
+      const std::string key = strfmt("f-%02d", key_no);
+      Bytes data = make_payload(40 + static_cast<std::uint64_t>(key_no), 0, kLen);
+      if (client.write(key, 0, as_view(data)).ok()) acked[key] = std::move(data);
+    }
+  };
+  auto expect_acked_read_back = [&](const char* phase) {
+    for (const auto& [key, data] : acked) {
+      auto r = client.read(key, 0, kLen);
+      ASSERT_TRUE(r.ok()) << phase << ": read of " << key << " failed: "
+                          << r.error().message();
+      EXPECT_TRUE(equal(as_view(r.value()), as_view(data)))
+          << phase << ": " << key << " is not byte-exact";
+    }
+  };
+
+  rpc::FaultPlan flaky;
+  flaky.drop_probability = 0.3;
+  flaky.error_probability = 0.3;
+  injector.set_plan(victim_node, flaky);
+  write_blobs(12);
+  EXPECT_FALSE(acked.empty());
+  expect_acked_read_back("flaky");
+
+  rpc::FaultPlan dead;
+  dead.error_probability = 1.0;
+  injector.set_plan(victim_node, dead);
+  const std::uint64_t retries0 = client.counters().batch_retries;
+  const std::uint64_t failovers0 = client.counters().failovers;
+  expect_acked_read_back("victim unreachable");
+  // Every envelope to the victim also failed its whole-envelope re-send, so
+  // the reads above completed only through the whole-group fallback onto
+  // per-chunk legs: at R = 1 those fail over replica by replica, at R = 2
+  // their version probe routes around the victim.
+  EXPECT_GT(client.counters().batch_retries, retries0);
+  if (write_quorum == 0) EXPECT_GT(client.counters().failovers, failovers0);
+  write_blobs(6);
+  expect_acked_read_back("victim unreachable, after more writes");
+
+  EXPECT_GT(injector.counters().dropped, 0u);
+  EXPECT_GT(injector.counters().errored, 0u);
+
+  injector.clear_all();
+  expect_acked_read_back("faults cleared");
+  store.transport().set_fault_injector(nullptr);
+}
+
+TEST(BatchFaults, StripedIoSurvivesFlakyThenUnreachableNodeW0) {
+  run_faulted_striped(0);  // classic: every live replica acks, R = 1
+}
+
+TEST(BatchFaults, StripedIoSurvivesFlakyThenUnreachableNodeW2) {
+  run_faulted_striped(2);  // W = 2 over replication 3, R = 2
 }
 
 }  // namespace

@@ -198,6 +198,31 @@ TEST(BlobStoreConfig, WriteCreatesOffRequiresCreate) {
   EXPECT_EQ(client.write("k", 0, as_view(to_bytes("x"))).code(), Errc::not_found);
   ASSERT_TRUE(client.create("k").ok());
   EXPECT_TRUE(client.write("k", 0, as_view(to_bytes("x"))).ok());
+
+  // Striped writes: the chunk-0 base leg enforces write_creates for the
+  // whole blob, so a multi-chunk write to an absent key fails before the
+  // chunk wave runs and leaves no chunk key anywhere.
+  const std::uint64_t cb = cfg.chunk_bytes;
+  const Bytes big = make_payload(3, 0, 3 * cb);
+  EXPECT_EQ(client.write("big", 0, as_view(big)).code(), Errc::not_found);
+  EXPECT_EQ(client.write("big", cb + 7, as_view(big)).code(), Errc::not_found);
+  auto listed = client.scan("big");
+  ASSERT_TRUE(listed.ok());
+  EXPECT_TRUE(listed.value().empty());
+  for (std::uint64_t c = 0; c < 5; ++c) {
+    const std::string ekey = chunk_engine_key("big", c);
+    for (std::size_t n = 0; n < store.server_count(); ++n) {
+      EXPECT_FALSE(store.server(n).peek_size(ekey).ok())
+          << "chunk " << c << " left on server " << n;
+    }
+  }
+
+  // After create, the chunk wave creates the chunk keys on demand.
+  ASSERT_TRUE(client.create("big").ok());
+  ASSERT_TRUE(client.write("big", 0, as_view(big)).ok());
+  auto r = client.read("big", 0, 3 * cb);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(equal(as_view(r.value()), as_view(big)));
 }
 
 }  // namespace
