@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Validate bench --json baselines and metrics snapshots.
+"""Validate bench --json baselines and metrics snapshots, or compare two.
 
-Two modes:
+Three modes:
 
   check_bench_json.py BENCH_*.json ...
       Validate each file against the bench results schema (EXPERIMENTS.md):
@@ -14,11 +14,21 @@ Two modes:
       and fail unless every required series name is present among its
       counters/gauges/histograms.
 
+  check_bench_json.py --compare BASE HEAD [--filter REGEX]
+      Validate both bench files, then print each BASE row's ns_per_op next
+      to HEAD's with the relative delta. Fails when a BASE row (restricted
+      to names matching REGEX, searched like --benchmark_filter) is missing
+      from HEAD, or when sim_us_per_op differs on a row whose name has no
+      `threads:`. Single-agent rows are deterministic, so any difference
+      there is a change to the simulated cost model; wall-clock deltas are
+      reported only.
+
 Exit code 0 on success; 1 with a message on the first violation.
 """
 
 import argparse
 import json
+import re
 import sys
 
 META_FIELDS = {
@@ -77,6 +87,7 @@ def check_bench_file(path):
         if row["ns_per_op"] < 0:
             fail(f"{path}: results[{i}].ns_per_op must be non-negative")
     print(f"{path}: OK ({len(results)} results)")
+    return results
 
 
 def check_metrics_file(path, required):
@@ -98,13 +109,46 @@ def check_metrics_file(path, required):
     print(f"{path}: OK ({len(present)} series, {len(required)} required present)")
 
 
+def compare_bench_files(base_path, head_path, pattern):
+    base_rows = check_bench_file(base_path)
+    head_rows = {row["name"]: row for row in check_bench_file(head_path)}
+    selected = [row for row in base_rows if re.search(pattern or "", row["name"])]
+    if not selected:
+        fail(f"{base_path}: no rows match filter {pattern!r}")
+    problems = []
+    width = max(len(row["name"]) for row in selected)
+    print(f"{'benchmark':<{width}}  {'base ns/op':>14}  {'head ns/op':>14}  {'delta':>8}")
+    for row in selected:
+        name = row["name"]
+        head = head_rows.get(name)
+        if head is None:
+            problems.append(f"{name}: missing from {head_path}")
+            continue
+        base_ns, head_ns = row["ns_per_op"], head["ns_per_op"]
+        delta = f"{(head_ns - base_ns) / base_ns:+.1%}" if base_ns else "n/a"
+        print(f"{name:<{width}}  {base_ns:>14.1f}  {head_ns:>14.1f}  {delta:>8}")
+        if "threads:" not in name and head["sim_us_per_op"] != row["sim_us_per_op"]:
+            problems.append(f"{name}: sim_us_per_op {row['sim_us_per_op']} -> "
+                            f"{head['sim_us_per_op']} (simulated cost model drifted)")
+    if problems:
+        fail("compare failed:\n  " + "\n  ".join(problems))
+    print(f"compare: OK ({len(selected)} rows, sim_us_per_op unchanged)")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("files", nargs="*", help="bench BENCH_*.json files to validate")
     ap.add_argument("--metrics", help="metrics snapshot file to validate instead")
     ap.add_argument("--require", nargs="*", default=[],
                     help="series that must exist in the --metrics snapshot")
+    ap.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"),
+                    help="compare two bench json files row by row")
+    ap.add_argument("--filter", help="with --compare: only BASE rows matching this regex")
     args = ap.parse_args()
+
+    if args.compare:
+        compare_bench_files(*args.compare, args.filter)
+        return
 
     if args.metrics:
         check_metrics_file(args.metrics, args.require)

@@ -36,6 +36,14 @@ std::uint64_t batch_header_bytes(std::string_view first_key, rpc::BatchOpKind ki
   return rpc::wire_size(op);
 }
 
+/// The write op of every client mutation path: `slice` ships by view (no
+/// payload copy) with its content checksum computed here, once, so replicas
+/// store the sender's checksum instead of re-hashing the bytes.
+BlobServer::TxnOp write_op(std::string key, std::uint64_t offset, ByteView slice) {
+  return {BlobServer::TxnOp::Kind::write, std::move(key), offset, slice, 0,
+          content_checksum(slice)};
+}
+
 /// Wire bytes of one per-sub status in a batch reply (payload excluded).
 std::uint64_t batch_substatus_bytes() { return rpc::wire_size(rpc::BatchSubStatus{}); }
 
@@ -518,7 +526,7 @@ Status BlobClient::mutation_leg(const std::string& ekey,
   std::uint64_t payload = 0;
   bool ends_removed = exists;
   for (const auto& op : ops) {
-    payload += op.payload().size();
+    payload += op.view.size();
     switch (op.kind) {
       case BlobServer::TxnOp::Kind::create:
         if (exists) precheck = {Errc::already_exists, op.key};
@@ -2166,9 +2174,7 @@ Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offs
     // Single-chunk fast path. Any cached size/version for this key is stale
     // the moment the mutation lands.
     cache_erase(std::string{key});
-    Status st = replicated_mutation(
-        key, {{BlobServer::TxnOp::Kind::write, std::string{key}, offset,
-               Bytes(data.begin(), data.end()), 0}});
+    Status st = replicated_mutation(key, {write_op(std::string{key}, offset, data)});
     if (!st.ok()) return st.error();
     counters_.bytes_written.add(data.size());
     client_metrics().write_bytes.add(data.size());
@@ -2185,22 +2191,13 @@ Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offs
   const SimMicros start = agent_ ? agent_->now() : 0;
   SimMicros done = start;
 
-  std::vector<BlobServer::TxnOp> base_ops;
-  if (offset < cb) {
-    // The chunk-0 slice ships as a zero-copy iovec view plus a
-    // client-computed end-to-end checksum, so the base leg neither marshals
-    // a payload copy nor makes replicas re-hash it.
-    const ByteView slice = data.subspan(0, std::min(end, cb) - offset);
-    BlobServer::TxnOp op{BlobServer::TxnOp::Kind::write, base, offset, {}, 0,
-                         content_checksum(slice)};
-    op.view = slice;
-    base_ops.push_back(std::move(op));
-  } else {
-    base_ops.push_back({BlobServer::TxnOp::Kind::write, base, 0, {}, 0});
-  }
-  base_ops.push_back({BlobServer::TxnOp::Kind::grow, base, 0, {}, end});
+  const ByteView base_slice =
+      offset < cb ? data.subspan(0, std::min(end, cb) - offset) : ByteView{};
   LegInfo li;
-  Status st = mutation_leg(base, base_ops, start, &done, &li);
+  Status st = mutation_leg(base,
+                           {write_op(base, offset < cb ? offset : 0, base_slice),
+                            {BlobServer::TxnOp::Kind::grow, base, 0, {}, end}},
+                           start, &done, &li);
 
   // Chunk legs c >= 1: one queueing trip, one lock round, one fault decision
   // per acting primary. The wave creates chunk keys on demand — the base leg
@@ -2330,8 +2327,10 @@ BlobTransaction BlobClient::begin_transaction() { return BlobTransaction(*this);
 
 BlobTransaction& BlobTransaction::write(std::string_view key, std::uint64_t offset,
                                         ByteView data) {
-  ops_.push_back({BlobServer::TxnOp::Kind::write, std::string{key}, offset,
-                  Bytes(data.begin(), data.end()), 0});
+  // The one copy of the caller's bytes (they may change or die before
+  // commit); every server's apply views it.
+  const Bytes& owned = payloads_.emplace_back(data.begin(), data.end());
+  ops_.push_back(write_op(std::string{key}, offset, as_view(owned)));
   return *this;
 }
 
@@ -2369,15 +2368,18 @@ Status BlobTransaction::commit() {
   BlobStore& store = c.store();
   const std::uint32_t W = store.config().write_quorum;
 
-  // Involved servers: every replica of every touched key.
+  // Involved servers: every replica of every touched key. Each server's
+  // batch references the transaction's own ops (key and payload views), so
+  // no op is copied per server.
   std::set<std::uint32_t> involved;
-  std::map<std::uint32_t, std::vector<BlobServer::TxnOp>> per_server;
+  std::map<std::uint32_t, std::vector<BlobServer::OpRef>> per_server;
   std::uint64_t payload = 0;
   for (const auto& op : ops_) {
-    payload += op.key.size() + op.data.size() + 24;
+    payload += op.key.size() + op.view.size() + 24;
     for (std::uint32_t n : store.replicas_of(op.key)) {
       involved.insert(n);
-      per_server[n].push_back(op);
+      per_server[n].push_back(
+          {op.kind, &op.key, op.offset, op.view, op.new_size, op.checksum});
     }
   }
   if (involved.empty()) return {Errc::no_space, "no storage nodes in ring"};
@@ -2519,10 +2521,10 @@ Status BlobTransaction::commit() {
   for (const auto& op : ops_) ++key_op_count[op.key];
   for (auto& [n, server_ops] : per_server) {
     if (store.is_down(n)) continue;  // degraded commit; resync repairs later
-    std::vector<BlobServer::TxnOp> runnable;
+    std::vector<BlobServer::OpRef> runnable;
     const auto& gated = stale.count(n) ? stale[n] : std::set<std::string>{};
     for (const auto& op : server_ops) {
-      if (!gated.count(op.key)) runnable.push_back(op);
+      if (!gated.count(*op.key)) runnable.push_back(op);
     }
     for (const std::string& key : gated) {
       if (W > 0 && store.server(auth_holder[key]).add_hint(n, key)) {
@@ -2531,7 +2533,7 @@ Status BlobTransaction::commit() {
     }
     if (runnable.empty()) continue;
     SimMicros svc = 0;
-    Status st = store.server(n).apply_txn_ops(runnable, &svc);
+    Status st = store.server(n).apply_ops(runnable.data(), runnable.size(), &svc);
     if (!st.ok() && failure.ok()) failure = st;
     // Version continuation: a remove+recreate inside the transaction resets
     // the engine version, which could lose arbitration against a stale
@@ -2540,11 +2542,12 @@ Status BlobTransaction::commit() {
     if (st.ok()) {
       std::set<std::string> seen;
       for (const auto& op : runnable) {
-        if (!seen.insert(op.key).second) continue;
-        const Version floor = auth[op.key] + key_op_count[op.key];
-        auto pv = store.server(n).peek_version(op.key);
+        const std::string& key = *op.key;
+        if (!seen.insert(key).second) continue;
+        const Version floor = auth[key] + key_op_count[key];
+        auto pv = store.server(n).peek_version(key);
         if (pv.ok() && pv.value() < floor) {
-          (void)store.server(n).force_version(op.key, floor);
+          (void)store.server(n).force_version(key, floor);
         }
       }
     }

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -419,6 +420,11 @@ class BlobClient {
 class BlobTransaction {
  public:
   explicit BlobTransaction(BlobClient& client) : client_(&client) {}
+  // ops_ views payloads_: a copy would view the source's buffers.
+  BlobTransaction(const BlobTransaction&) = delete;
+  BlobTransaction& operator=(const BlobTransaction&) = delete;
+  BlobTransaction(BlobTransaction&&) = default;
+  BlobTransaction& operator=(BlobTransaction&&) = default;
 
   BlobTransaction& write(std::string_view key, std::uint64_t offset, ByteView data);
   BlobTransaction& truncate(std::string_view key, std::uint64_t new_size);
@@ -437,6 +443,8 @@ class BlobTransaction {
 
  private:
   BlobClient* client_;
+  /// Owned copies of the written bytes, one per write(); ops_ views them.
+  std::deque<Bytes> payloads_;
   std::vector<BlobServer::TxnOp> ops_;
   std::vector<std::pair<std::string, Version>> preconditions_;
 };

@@ -338,7 +338,7 @@ Status BlobServer::apply_txn_ops(const std::vector<TxnOp>& ops, SimMicros* servi
   std::vector<OpRef> refs;
   refs.reserve(ops.size());
   for (const auto& op : ops) {
-    refs.push_back(OpRef{op.kind, &op.key, op.offset, op.payload(), op.new_size,
+    refs.push_back(OpRef{op.kind, &op.key, op.offset, op.view, op.new_size,
                          op.checksum});
   }
   return apply_ops(refs.data(), refs.size(), service_us);

@@ -154,22 +154,22 @@ class BlobServer {
     enum class Kind { write, truncate, create, remove, grow } kind;
     std::string key;
     std::uint64_t offset = 0;
-    Bytes data;
-    std::uint64_t new_size = 0;   ///< truncate target / grow minimum size
-    std::uint64_t checksum = 0;   ///< sender-computed content checksum (0 = none)
-    /// When non-empty, the payload lives in the caller's buffer and `data`
-    /// stays empty — the batched client ships iovec slices instead of
-    /// marshalling per-leg copies. The buffer must outlive the leg.
+    /// Write payload: a view of the sender's buffer (the caller's bytes for
+    /// a client write, the transaction's own copy for a transactional one),
+    /// shipped as an iovec slice — never copied per leg or per replica. The
+    /// buffer must outlive the apply.
     ByteView view{};
-    ByteView payload() const noexcept {
-      return view.empty() ? ByteView{data.data(), data.size()} : view;
-    }
+    std::uint64_t new_size = 0;   ///< truncate target / grow minimum size
+    /// content_checksum(view), computed once by the sender and stored as-is
+    /// by every replica (0 = none: the engine computes it).
+    std::uint64_t checksum = 0;
   };
   Status apply_txn_ops(const std::vector<TxnOp>& ops, SimMicros* service_us);
 
   /// Zero-copy view of one mutation op: the batched scatter-gather client
-  /// references the caller's buffer slices directly instead of materializing
-  /// per-leg Bytes copies. `key` and `data` must outlive the call.
+  /// and transaction commit reference the sender's key and buffer slices
+  /// directly instead of copying an op per leg or per server. `key` and
+  /// `data` must outlive the call.
   struct OpRef {
     TxnOp::Kind kind;
     const std::string* key;

@@ -154,10 +154,11 @@ class StorageEngine {
   /// Random-access write; grows the object as needed. Creates the object
   /// when `create_if_missing` (RADOS semantics), else not_found.
   /// `checksum`, when non-zero, is the caller's precomputed
-  /// content_checksum(data): batched clients compute it once and ship it
-  /// end-to-end, so each replica stores instead of recomputing (and a wire
-  /// corruption is caught later against the *sender's* checksum, which a
-  /// server-side recompute would bless). 0 = compute here.
+  /// content_checksum(data): every client write path computes it once and
+  /// ships it with a view of the payload, so each replica stores instead of
+  /// recomputing (and a wire corruption is caught later against the
+  /// *sender's* checksum, which a server-side recompute would bless).
+  /// 0 = compute here (repair installs, WAL replay, standalone callers).
   Result<WriteOutcome> write(const std::string& key, std::uint64_t offset, ByteView data,
                              bool create_if_missing, std::uint64_t checksum = 0);
 

@@ -9,7 +9,10 @@
 
 namespace bsc {
 
-/// FNV-1a 64-bit — stable, endian-independent; used for key → ring placement.
+/// FNV-1a 64-bit — stable, endian-independent; used for key → ring placement,
+/// engine shard selection and page-cache keys. Ring placement decides which
+/// servers hold a key, so a different value would strand every stored blob:
+/// the output is pinned by golden values in test_common.
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view s) noexcept;
 [[nodiscard]] std::uint64_t fnv1a64(ByteView data) noexcept;
 
@@ -27,10 +30,14 @@ namespace bsc {
   return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
 }
 
-/// Content checksum for integrity verification in the storage engines.
-/// Word-wide multi-lane FNV folded through mix64 — computed under per-key
-/// locks on the write path, so throughput matters. The value is only ever
-/// compared within one process run; the algorithm may change across versions.
+/// Content checksum for integrity verification. Word-wide multi-lane FNV
+/// folded through mix64; clients compute it once per write payload and every
+/// replica stores the shipped value, so throughput still matters.
+/// The value is persisted and compared across process runs: WAL record
+/// headers, checkpoint runs and checkpoint trailers store it and recovery
+/// verifies against it, and the S3 gateway derives ETags from it. The
+/// algorithm is therefore a stable on-disk format — changing it orphans
+/// every existing WAL and checkpoint. Golden values in test_common pin it.
 [[nodiscard]] std::uint64_t content_checksum(ByteView data) noexcept;
 
 }  // namespace bsc

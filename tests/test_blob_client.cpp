@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "blob/client.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
@@ -150,6 +151,69 @@ TEST_F(BlobClientTest, ConcurrentClientsDontCorrupt) {
     EXPECT_TRUE(check_payload(t, 0, as_view(r.value())));
   }
   EXPECT_TRUE(store_.verify_all_integrity().ok());
+}
+
+// A single-chunk write ships a view of the caller's bytes plus the checksum
+// the client computed once; every replica stores that checksum as-is. The
+// bytes must read back exactly, each replica's checksum must verify (also
+// after an in-place overwrite), and scrub must still flag a replica
+// corrupted afterwards.
+TEST_F(BlobClientTest, SingleChunkWritesStoreTheShippedChecksum) {
+  const std::uint64_t cb = store_.config().chunk_bytes;
+  ASSERT_GT(cb, 64u << 10);
+  const std::string small = "one-chunk-64k";
+  const std::string full = "one-chunk-full";
+  const Bytes small_v1 = make_payload(41, 0, 64 << 10);
+  const Bytes small_v2 = make_payload(42, 0, 64 << 10);
+  const Bytes full_data = make_payload(43, 0, cb);
+  ASSERT_TRUE(client_.write(small, 0, as_view(small_v1)).ok());
+  ASSERT_TRUE(client_.write(small, 0, as_view(small_v2)).ok());  // in-place path
+  ASSERT_TRUE(client_.write(full, 0, as_view(full_data)).ok());
+
+  for (const auto& [key, want] : {std::pair{small, &small_v2}, std::pair{full, &full_data}}) {
+    auto r = client_.read(key, 0, want->size());
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(equal(as_view(r.value()), as_view(*want))) << key;
+    for (std::uint32_t n : store_.replicas_of(key)) {
+      EXPECT_TRUE(store_.server(n).verify_key(key).ok()) << key << " on server " << n;
+    }
+  }
+  // Exactly chunk_bytes is still one chunk: no chunk-1 key anywhere.
+  for (std::size_t n = 0; n < store_.server_count(); ++n) {
+    EXPECT_FALSE(store_.server(n).peek_size(chunk_engine_key(full, 1)).ok());
+  }
+
+  const std::uint32_t bad = store_.replicas_of(small).front();
+  ASSERT_TRUE(store_.server(bad).corrupt_for_testing(small));
+  EXPECT_FALSE(store_.server(bad).verify_key(small).ok());
+  const auto report = store_.scrub(/*repair=*/true);
+  EXPECT_EQ(report.checksum_errors, 1u);
+  EXPECT_EQ(report.divergent_replicas, 1u);
+  EXPECT_EQ(report.repaired, 1u);
+  EXPECT_TRUE(store_.server(bad).verify_key(small).ok());
+}
+
+// Replicas store the sender's checksum and never recompute it: a write whose
+// shipped checksum does not match its bytes is stored as-is, so the mismatch
+// surfaces at verification instead of being blessed on apply.
+TEST_F(BlobClientTest, ServerStoresShippedChecksumWithoutRecomputing) {
+  BlobServer& srv = store_.server(0);
+  const Bytes data = make_payload(44, 0, 4096);
+  const std::uint64_t right = content_checksum(as_view(data));
+  SimMicros svc = 0;
+  for (const auto& [key, sum] : {std::pair{std::string{"shipped-bad"}, right ^ 1},
+                                 std::pair{std::string{"shipped-good"}, right}}) {
+    auto lk = srv.lock_key(key);
+    ASSERT_TRUE(srv.apply_txn_ops(
+                       {{BlobServer::TxnOp::Kind::write, key, 0, as_view(data), 0, sum}},
+                       &svc)
+                    .ok());
+  }
+  EXPECT_FALSE(srv.verify_key("shipped-bad").ok());
+  EXPECT_TRUE(srv.verify_key("shipped-good").ok());
+  auto r = srv.read("shipped-bad", 0, data.size(), &svc);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(equal(as_view(r.value().data), as_view(data)));
 }
 
 // Parameterized sweep over write sizes and offsets spanning chunk/segment

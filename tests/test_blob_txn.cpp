@@ -2,7 +2,9 @@
 // conflicts, concurrency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "blob/client.hpp"
 #include "common/rng.hpp"
@@ -50,6 +52,33 @@ TEST_F(TxnTest, InapplicableOpAbortsWholeTxn) {
   EXPECT_EQ(txn.commit().code(), Errc::conflict);
   // Nothing applied: atomicity.
   EXPECT_FALSE(client_.exists("x"));
+}
+
+// write() keeps its own copy of the caller's bytes: overwriting and then
+// freeing the buffer before commit() must not change what commits, also
+// when the transaction is moved in between. A view of the caller's buffer
+// would read freed memory here, which ASan turns into a failure.
+TEST_F(TxnTest, CommitUsesBytesCapturedAtWrite) {
+  const Bytes want_a = make_payload(51, 0, 8192);
+  const Bytes want_b = make_payload(52, 0, 100);
+  auto buf = std::make_unique<Bytes>(want_a);
+  auto staged = client_.begin_transaction();
+  staged.write("owned-a", 0, as_view(*buf));
+  buf->assign(want_b.begin(), want_b.end());
+  staged.write("owned-b", 0, as_view(*buf));
+  std::fill(buf->begin(), buf->end(), std::byte{0xab});
+  buf.reset();
+  BlobTransaction txn = std::move(staged);
+  ASSERT_TRUE(txn.commit().ok());
+
+  for (const auto& [key, want] : {std::pair{"owned-a", &want_a}, std::pair{"owned-b", &want_b}}) {
+    auto r = client_.read(key, 0, want->size());
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(equal(as_view(r.value()), as_view(*want))) << key;
+    for (std::uint32_t n : store_.replicas_of(key)) {
+      EXPECT_TRUE(store_.server(n).verify_key(key).ok()) << key << " on server " << n;
+    }
+  }
 }
 
 TEST_F(TxnTest, RemoveMissingAborts) {

@@ -74,6 +74,31 @@ TEST(Hash, ChecksumDetectsSizeAndContent) {
   EXPECT_NE(content_checksum(as_view(a)), content_checksum(as_view(c)));
 }
 
+// content_checksum and fnv1a64 values are persisted (WAL, checkpoints) or
+// decide placement (ring), so their outputs are a format: these literals were
+// recorded from the released algorithm and must never change.
+TEST(Hash, GoldenValuesAreStable) {
+  const Bytes empty;
+  const Bytes seven = to_bytes("abcdefg");  // tail loop only
+  Bytes b32(32);
+  for (std::size_t i = 0; i < b32.size(); ++i) b32[i] = static_cast<std::byte>(i);
+  Bytes big(64 * 1024 + 3);  // full lanes plus a 3-byte tail
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::byte>(mix64(0x5eedULL + i));
+  }
+
+  EXPECT_EQ(content_checksum(as_view(empty)), 0xf771153c8f83af5aULL);
+  EXPECT_EQ(content_checksum(as_view(seven)), 0xdbb380ac335119d7ULL);
+  EXPECT_EQ(content_checksum(as_view(b32)), 0x6babebbf86bb494aULL);
+  EXPECT_EQ(content_checksum(as_view(big)), 0x2077ed522eaabfe1ULL);
+
+  EXPECT_EQ(fnv1a64(as_view(empty)), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a64(as_view(seven)), 0x406e475017aa7737ULL);
+  EXPECT_EQ(fnv1a64(as_view(b32)), 0xe6cb594c1a148ac5ULL);
+  EXPECT_EQ(fnv1a64(as_view(big)), 0x470ecd5adaf7954fULL);
+  EXPECT_EQ(fnv1a64(std::string_view{"blob/key-0"}), 0xbb18a94a9af5be13ULL);
+}
+
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(7);
   Rng b(7);
