@@ -646,7 +646,7 @@ Status BlobClient::mutation_leg(const std::string& ekey,
     }
     if (continue_versions && !ends_removed) (void)rep.force_version(ekey, new_version);
     ++acks;
-    const SimMicros arr = prim_done + net.transfer_us(req) + d.extra_latency_us;
+    const SimMicros arr = d.attempt_start + net.transfer_us(req) + d.extra_latency_us;
     done = std::max(done,
                     rep.node().serve(arr, svc) + net.transfer_us(kEnvelope) +
                         d.extra_latency_us);
@@ -686,7 +686,7 @@ Status BlobClient::mutation_leg(const std::string& ekey,
       counters_.chain_dual_writes.inc();
       client_metrics().chain_dual_writes.inc();
     }
-    const SimMicros arr = prim_done + net.transfer_us(req) + dd.extra_latency_us;
+    const SimMicros arr = dd.attempt_start + net.transfer_us(req) + dd.extra_latency_us;
     done = std::max(done, tgt.node().serve(arr, dsvc) + net.transfer_us(kEnvelope) +
                               dd.extra_latency_us);
   }
@@ -1110,7 +1110,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
         counters_.chain_dual_writes.inc();
         client_metrics().chain_dual_writes.inc();
       }
-      const SimMicros arr = prim_done + net.transfer_us(dreq) + dd.extra_latency_us;
+      const SimMicros arr = dd.attempt_start + net.transfer_us(dreq) + dd.extra_latency_us;
       done = std::max(done, tgt.node().serve(arr, dsvc) + net.transfer_us(kEnvelope) +
                                 dd.extra_latency_us);
     }

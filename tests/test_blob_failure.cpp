@@ -145,6 +145,40 @@ TEST_F(FailureTest, InjectedOutageSurfacesUnavailableNotHang) {
   EXPECT_TRUE(equal(as_view(r.value()), as_view(to_bytes("payload"))));
 }
 
+// A replica forward that had to be retried lands later than a first-try
+// forward, and the classic-mode ack waits for every live replica: the
+// delivered attempt's send time, not the primary's apply, starts its transfer.
+TEST(MutationTiming, RetriedForwardIsCharged) {
+  const Bytes data = make_payload(40, 0, 64 * 1024);
+  struct Run {
+    SimMicros cost = 0;
+    std::uint64_t retries = 0;
+  };
+  const auto write_once = [&data](bool forward_outage) {
+    sim::Cluster cluster;
+    BlobStore store{cluster};
+    sim::SimAgent agent;
+    BlobClient client{store, &agent};
+    rpc::FaultInjector inj(7);
+    if (forward_outage) {
+      rpc::FaultPlan plan;
+      plan.outages.push_back({0, 3000});
+      inj.set_plan(store.server(store.replicas_of("k")[1]).node().id(), plan);
+      store.transport().set_fault_injector(&inj);
+    }
+    const SimMicros t0 = agent.now();
+    EXPECT_TRUE(client.write("k", 0, as_view(data)).ok());
+    Run r{agent.now() - t0, client.counters().retries};
+    store.transport().set_fault_injector(nullptr);
+    return r;
+  };
+  const Run clean = write_once(false);
+  const Run faulted = write_once(true);
+  EXPECT_EQ(clean.retries, 0u);
+  EXPECT_GT(faulted.retries, 0u);
+  EXPECT_GT(faulted.cost, clean.cost);
+}
+
 class QuorumTest : public ::testing::Test {
  protected:
   static StoreConfig quorum_config() {
