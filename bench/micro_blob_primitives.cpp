@@ -212,7 +212,8 @@ void BM_BlobCreateRemove(benchmark::State& state) {
     benchmark::DoNotOptimize(rig.client.create(key).ok());
     benchmark::DoNotOptimize(rig.client.remove(key).ok());
   }
-  state.counters["sim_us_per_pair"] = benchmark::Counter(
+  // One iteration = one create + remove pair.
+  state.counters["sim_us_per_op"] = benchmark::Counter(
       static_cast<double>(rig.agent.now() - t0) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_BlobCreateRemove);
@@ -229,8 +230,8 @@ void BM_BlobScan(benchmark::State& state) {
     benchmark::DoNotOptimize(r.ok());
   }
   // The §III point: scan cost grows with the WHOLE namespace, not with the
-  // number of matches.
-  state.counters["sim_us_per_scan"] = benchmark::Counter(
+  // number of matches. One iteration = one scan.
+  state.counters["sim_us_per_op"] = benchmark::Counter(
       static_cast<double>(rig.agent.now() - t0) / static_cast<double>(state.iterations()));
   state.counters["namespace_objects"] = benchmark::Counter(static_cast<double>(objects));
 }
@@ -251,7 +252,8 @@ void BM_BlobTransactionCommit(benchmark::State& state) {
     benchmark::DoNotOptimize(txn.commit().ok());
     ++round;
   }
-  state.counters["sim_us_per_txn"] = benchmark::Counter(
+  // One iteration = one committed transaction.
+  state.counters["sim_us_per_op"] = benchmark::Counter(
       static_cast<double>(rig.agent.now() - t0) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_BlobTransactionCommit)->Arg(1)->Arg(4)->Arg(16);
@@ -299,7 +301,7 @@ void BM_ReplicationLatency(benchmark::State& state) {
     (void)client.write(strfmt("r-%llu", static_cast<unsigned long long>(i++ % 32)), 0,
                        as_view(data));
   }
-  state.counters["sim_us_per_write"] = benchmark::Counter(
+  state.counters["sim_us_per_op"] = benchmark::Counter(
       static_cast<double>(agent.now() - t0) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_ReplicationLatency)->Arg(1)->Arg(2)->Arg(3);
@@ -320,7 +322,7 @@ void BM_NetworkProfile(benchmark::State& state) {
                        as_view(data));
   }
   state.SetLabel(state.range(0) == 0 ? "gbe" : "ib-ddr-4x");
-  state.counters["sim_us_per_write"] = benchmark::Counter(
+  state.counters["sim_us_per_op"] = benchmark::Counter(
       static_cast<double>(agent.now() - t0) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_NetworkProfile)->Arg(0)->Arg(1);
