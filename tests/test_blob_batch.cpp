@@ -720,5 +720,95 @@ TEST(BatchFaults, StripedIoSurvivesFlakyThenUnreachableNodeW2) {
   run_faulted_striped(2);  // W = 2 over replication 3, R = 2
 }
 
+// --- golden single-key mutation legs ---------------------------------------
+
+/// Runs every single-key mutation shape, plus the striped base leg, on a
+/// fault-free R=3 store (64 KiB chunks, write_creates off) and renders one
+/// line per op: status, the agent's simulated-time delta, the batch
+/// envelopes shipped, then each replica's version/size of the key ("-" =
+/// absent), with chunk 1's replicas after a second "|" for striped ops.
+std::vector<std::string> golden_mutation_trace(std::uint32_t write_quorum) {
+  StoreConfig cfg;
+  cfg.write_quorum = write_quorum;
+  cfg.write_creates = false;
+  cfg.chunk_bytes = 64 * 1024;
+  sim::Cluster cluster;
+  BlobStore store(cluster, cfg);
+  sim::SimAgent agent;
+  BlobClient client(store, &agent);
+
+  const auto replica_states = [&store](const std::string& ekey) {
+    std::string s;
+    for (std::uint32_t n : store.replicas_of(ekey)) {
+      const auto v = store.server(n).peek_version(ekey);
+      const auto size = store.server(n).peek_size(ekey);
+      s += v.ok() ? strfmt(" %llu/%llu", static_cast<unsigned long long>(v.value()),
+                           static_cast<unsigned long long>(size.value()))
+                  : std::string{" -"};
+    }
+    return s;
+  };
+  std::vector<std::string> lines;
+  const auto step = [&](const char* what, const std::string& key, bool striped,
+                        const auto& op) {
+    const SimMicros t0 = agent.now();
+    const std::uint64_t env0 = client.counters().batch_envelopes;
+    const Status st = op();
+    std::string line = strfmt(
+        "%s %s dt=%lld env=%llu |", what, std::string{to_string(st.code())}.c_str(),
+        static_cast<long long>(agent.now() - t0),
+        static_cast<unsigned long long>(client.counters().batch_envelopes - env0));
+    line += replica_states(key);
+    if (striped) line += " |" + replica_states(chunk_engine_key(key, 1));
+    lines.push_back(std::move(line));
+  };
+  const auto status_of = [](const Result<std::uint64_t>& r) {
+    return r.ok() ? Status::success() : Status{r.error()};
+  };
+  const Bytes small = make_payload(61, 0, 4096);
+  const Bytes wide = make_payload(62, 0, 96 * 1024);
+
+  step("create", "g", false, [&] { return client.create("g"); });
+  step("create-existing", "g", false, [&] { return client.create("g"); });
+  step("write", "g", false, [&] { return status_of(client.write("g", 0, as_view(small))); });
+  step("write-absent", "absent", false,
+       [&] { return status_of(client.write("absent", 0, as_view(small))); });
+  step("truncate", "g", false, [&] { return client.truncate("g", 1000); });
+  step("truncate-absent", "absent", false, [&] { return client.truncate("absent", 10); });
+  step("remove", "g", false, [&] { return client.remove("g"); });
+  step("remove-absent", "g", false, [&] { return client.remove("g"); });
+  step("create", "s", true, [&] { return client.create("s"); });
+  step("striped-write", "s", true,
+       [&] { return status_of(client.write("s", 0, as_view(wide))); });
+  step("striped-truncate", "s", true, [&] { return client.truncate("s", 80 * 1024); });
+  step("striped-remove", "s", true, [&] { return client.remove("s"); });
+  return lines;
+}
+
+// Pins every mutation leg shape to literal statuses, simulated costs,
+// envelope counts and replica states: a single-key op is one plain request
+// (no batch envelope), a striped op is its base leg plus one chunk wave.
+// W=2 takes the quorum path (freshest-replica pre-size, quorum ack rule)
+// and agrees with W=0 when nothing fails.
+TEST(MutationGolden, SingleKeyLegsMatchParent) {
+  const std::vector<std::string> expected = {
+      "create ok dt=245 env=0 | 1/0 1/0 1/0",
+      "create-existing already_exists dt=105 env=0 | 1/0 1/0 1/0",
+      "write ok dt=375 env=0 | 2/4096 2/4096 2/4096",
+      "write-absent not_found dt=142 env=0 | - - -",
+      "truncate ok dt=245 env=0 | 3/1000 3/1000 3/1000",
+      "truncate-absent not_found dt=105 env=0 | - - -",
+      "remove ok dt=245 env=0 | - - -",
+      "remove-absent not_found dt=105 env=0 | - - -",
+      "create ok dt=245 env=0 | 1/0 1/0 1/0 | - - -",
+      "striped-write ok dt=3198 env=1 | 3/98304 3/98304 3/98304 | 1/32768 1/32768 1/32768",
+      "striped-truncate ok dt=292 env=1 | 4/81920 4/81920 4/81920 | 2/16384 2/16384 2/16384",
+      "striped-remove ok dt=292 env=1 | - - - | - - -",
+  };
+  for (const std::uint32_t w : {0u, 2u}) {
+    EXPECT_EQ(golden_mutation_trace(w), expected) << "write_quorum=" << w;
+  }
+}
+
 }  // namespace
 }  // namespace bsc::blob
