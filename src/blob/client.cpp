@@ -38,10 +38,11 @@ std::uint64_t batch_header_bytes(std::string_view first_key, rpc::BatchOpKind ki
 
 /// The write op of every client mutation path: `slice` ships by view (no
 /// payload copy) with its content checksum computed here, once, so replicas
-/// store the sender's checksum instead of re-hashing the bytes.
-BlobServer::TxnOp write_op(std::string key, std::uint64_t offset, ByteView slice) {
-  return {BlobServer::TxnOp::Kind::write, std::move(key), offset, slice, 0,
-          content_checksum(slice)};
+/// store the sender's checksum instead of re-hashing the bytes. A mutation
+/// leg points `key` at its sub's engine key itself.
+BlobServer::OpRef write_op(std::uint64_t offset, ByteView slice,
+                           const std::string* key = nullptr) {
+  return {BlobServer::OpRef::Kind::write, key, offset, slice, 0, content_checksum(slice)};
 }
 
 /// Wire bytes of one per-sub status in a batch reply (payload excluded).
@@ -443,295 +444,6 @@ BlobClient::LegDelivery BlobClient::try_deliver(BlobServer& srv, SimMicros start
   return out;
 }
 
-Status BlobClient::mutation_leg(const std::string& ekey,
-                                const std::vector<BlobServer::TxnOp>& ops,
-                                SimMicros start, SimMicros* completion,
-                                LegInfo* info) {
-  *completion = start;
-
-  // Placement loop: resolve (possibly from the placement cache), lock, then
-  // re-resolve under the held stripes. The rebalancer flips a key's
-  // migration state under those same stripes, so a placement that re-reads
-  // identically is stable for the rest of the leg; a mismatch means the
-  // cached entry went stale (membership moved) — flush it, pay one refresh
-  // round trip, and retry against the authoritative placement. The final
-  // pass proceeds on whatever it locked: finalize()'s verify sweep repairs
-  // any drift a pathological race could leave behind.
-  Placement p;
-  std::vector<BlobServer::KeyLock> locks;
-  for (int pass = 0;; ++pass) {
-    p = pass == 0 ? locate(ekey) : store_->placement_of(ekey);
-    if (p.replicas.empty()) return {Errc::no_space, "no storage nodes in ring"};
-
-    // Per-key striped locks on every replica AND dual-write target of this
-    // key, acquired in ascending node order (the same global order the
-    // transaction path and the rebalancer use — no deadlock). Racing
-    // writers to one key serialize on its stripe and apply in the same
-    // order on every replica; writers to distinct keys proceed in parallel.
-    std::vector<std::uint32_t> sorted = p.replicas;
-    sorted.insert(sorted.end(), p.pending.begin(), p.pending.end());
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    locks.clear();
-    locks.reserve(sorted.size());
-    for (std::uint32_t n : sorted) locks.push_back(store_->server(n).lock_key(ekey));
-
-    const Placement fresh = store_->placement_of(ekey);
-    if (fresh.replicas == p.replicas && fresh.pending == p.pending) break;
-    place_flush(ekey);
-    counters_.epoch_refreshes.inc();
-    client_metrics().epoch_refreshes.inc();
-    if (pass >= 2) break;
-    counters_.stale_epoch_retries.inc();
-    client_metrics().stale_retries.inc();
-    start += 2 * store_->cluster().net().transfer_us(kProbeReq);
-  }
-  const std::vector<std::uint32_t>& replicas = p.replicas;
-
-  // Applicability check against the acting primary's current state, so the
-  // apply below cannot fail on one replica and succeed on another. Ops in a
-  // leg are validated sequentially (later ops see earlier ops' effects).
-  const auto acting = store_->first_up(replicas);
-  if (!acting) return {Errc::unavailable, "all replicas down: " + ekey};
-  BlobServer& primary = store_->server(*acting);
-  bool exists = !primary.version_matches(ekey, 0);
-  const bool pre_exists = exists;
-  if (info != nullptr) {
-    // Piggyback the pre-leg size on the lock round already holding every
-    // replica — the striped paths use it for chunk layout instead of a
-    // separate stat round. In quorum mode the freshest live replica is
-    // authoritative (a stale primary may have missed acked writes).
-    info->pre_exists = pre_exists;
-    info->pre_size = 0;
-    if (pre_exists) {
-      if (store_->config().write_quorum == 0) {
-        info->pre_size = primary.peek_size(ekey).value_or(0);
-      } else {
-        bool found = false;
-        Version best_v = 0;
-        for (std::uint32_t rid : replicas) {
-          if (store_->is_down(rid)) continue;
-          BlobServer& srv = store_->server(rid);
-          auto v = srv.peek_version(ekey);
-          if (v.ok() && (!found || v.value() > best_v)) {
-            found = true;
-            best_v = v.value();
-            info->pre_size = srv.peek_size(ekey).value_or(0);
-          }
-        }
-      }
-    }
-  }
-  Status precheck = Status::success();
-  std::uint64_t payload = 0;
-  bool ends_removed = exists;
-  for (const auto& op : ops) {
-    payload += op.view.size();
-    switch (op.kind) {
-      case BlobServer::TxnOp::Kind::create:
-        if (exists) precheck = {Errc::already_exists, op.key};
-        exists = true;
-        break;
-      case BlobServer::TxnOp::Kind::remove:
-        if (!exists) precheck = {Errc::not_found, op.key};
-        exists = false;
-        break;
-      case BlobServer::TxnOp::Kind::truncate:
-      case BlobServer::TxnOp::Kind::grow:
-        if (!exists) precheck = {Errc::not_found, op.key};
-        break;
-      case BlobServer::TxnOp::Kind::write:
-        if (!exists && !store_->config().write_creates) {
-          precheck = {Errc::not_found, op.key};
-        }
-        exists = true;
-        break;
-    }
-    if (!precheck.ok()) break;
-  }
-  ends_removed = !exists;
-
-  const auto& net = store_->cluster().net();
-  const std::uint64_t req = req_bytes(ekey, payload);
-
-  if (!precheck.ok()) {
-    // Pay the failed round-trip to the primary (the rejection itself is a
-    // tiny, delivered reply — a faulted leg would surface below anyway).
-    const SimMicros done = primary.node().serve(start + net.transfer_us(req), 3);
-    *completion = done + net.transfer_us(kEnvelope);
-    return precheck;
-  }
-
-  // Replica-version bookkeeping. `pre_version` is the authoritative base a
-  // replica must be at to apply this leg (else it missed earlier ops and
-  // would diverge — it gets a hint instead). `base` is the highest version
-  // any live replica holds: the post-apply version continues above it so
-  // versions never regress across remove/recreate cycles, keeping
-  // "max version = freshest" true for quorum arbitration. The version
-  // exchange piggybacks on the lock round already holding every replica.
-  const Version pre_version =
-      pre_exists ? primary.peek_version(ekey).value_or(0) : 0;
-  Version base = pre_version;
-  for (std::uint32_t rid : replicas) {
-    if (store_->is_down(rid)) continue;
-    base = std::max(base, store_->server(rid).peek_version(ekey).value_or(0));
-  }
-  const Version new_version = base + ops.size();
-  const bool continue_versions = base > pre_version;
-  if (info != nullptr) info->new_version = new_version;
-
-  // Coordinator leg: the acting primary must ack, with retries. Nothing has
-  // been applied anywhere if this fails — the mutation is atomically absent.
-  LegDelivery prim = try_deliver(primary, start, req);
-  if (!prim.ok) {
-    *completion = prim.failed_at;
-    return {prim.err, "primary unreachable: " + ekey};
-  }
-  SimMicros svc0 = 0;
-  Status st = primary.apply_txn_ops(ops, &svc0);
-  if (continue_versions && st.ok() && !ends_removed) {
-    (void)primary.force_version(ekey, new_version);
-  }
-  const SimMicros prim_arrival =
-      prim.attempt_start + net.transfer_us(req) + prim.extra_latency_us;
-  const SimMicros prim_done = primary.node().serve(prim_arrival, svc0);
-  SimMicros done =
-      prim_done + net.transfer_us(kEnvelope) + prim.extra_latency_us;
-  if (!st.ok()) {
-    *completion = done;
-    return st;
-  }
-
-  // Forward to the remaining replicas in parallel (pipelined off the
-  // primary's apply). Down, stale, or unreachable replicas are misses.
-  std::uint32_t acks = 1;
-  std::vector<std::uint32_t> missed;
-  Errc miss_err = Errc::unavailable;
-  for (std::uint32_t rid : replicas) {
-    if (rid == *acting) continue;
-    if (store_->is_down(rid)) {
-      missed.push_back(rid);
-      continue;
-    }
-    BlobServer& rep = store_->server(rid);
-    if (!rep.version_matches(ekey, pre_version)) {
-      // Behind (missed earlier ops): applying would interleave histories.
-      missed.push_back(rid);
-      continue;
-    }
-    if (store_->config().write_quorum > 0 &&
-        !breaker_allows(store_->server(rid).node().id(), prim_done)) {
-      // Open breaker on a quorum-mode forward: convert straight to a hint
-      // (recorded with the other misses below) instead of burning the
-      // retry/timeout ladder against a replica already known to be failing.
-      // Classic mode (W=0) keeps trying — there every live replica must ack
-      // and there is no hint repair path to absorb the miss.
-      missed.push_back(rid);
-      counters_.breaker_fast_hints.inc();
-      client_metrics().breaker_fast_hints.inc();
-      continue;
-    }
-    LegDelivery d = try_deliver(rep, prim_done, req);
-    if (!d.ok) {
-      missed.push_back(rid);
-      miss_err = d.err;
-      done = std::max(done, d.failed_at);
-      continue;
-    }
-    SimMicros svc = 0;
-    Status rs = rep.apply_txn_ops(ops, &svc);
-    if (!rs.ok()) {
-      st = {Errc::io_error, "replica divergence: " + rs.message()};
-      break;
-    }
-    if (continue_versions && !ends_removed) (void)rep.force_version(ekey, new_version);
-    ++acks;
-    const SimMicros arr = d.attempt_start + net.transfer_us(req) + d.extra_latency_us;
-    done = std::max(done,
-                    rep.node().serve(arr, svc) + net.transfer_us(kEnvelope) +
-                        d.extra_latency_us);
-  }
-  if (!st.ok()) {
-    *completion = done;
-    return st;
-  }
-
-  // Dual-write targets (open migration window): the new-only owners get the
-  // leg's ops too, version-gated exactly like forwarding replicas so an
-  // out-of-order migration copy can never interleave histories. They are
-  // NOT acks — the old set stays authoritative for quorum — and a missed or
-  // down target gets a hint; finalize()'s verify sweep repairs whatever the
-  // hints don't. This is what makes the write-vs-copy race safe in both
-  // orders: copy-then-write lands here, write-then-copy is picked up by the
-  // copy itself.
-  for (std::uint32_t tid : p.pending) {
-    if (store_->is_down(tid)) {
-      if (primary.add_hint(tid, ekey)) counters_.hints_written.inc();
-      continue;
-    }
-    BlobServer& tgt = store_->server(tid);
-    if (!tgt.version_matches(ekey, pre_version)) continue;  // copy not landed yet
-    LegDelivery dd = try_deliver(tgt, prim_done, req);
-    if (!dd.ok) {
-      if (primary.add_hint(tid, ekey)) counters_.hints_written.inc();
-      done = std::max(done, dd.failed_at);
-      continue;
-    }
-    SimMicros dsvc = 0;
-    if (!tgt.apply_txn_ops(ops, &dsvc).ok()) continue;
-    if (continue_versions && !ends_removed) (void)tgt.force_version(ekey, new_version);
-    counters_.dual_writes.inc();
-    client_metrics().dual_writes.inc();
-    if (p.windows >= 2) {
-      counters_.chain_dual_writes.inc();
-      client_metrics().chain_dual_writes.inc();
-    }
-    const SimMicros arr = dd.attempt_start + net.transfer_us(req) + dd.extra_latency_us;
-    done = std::max(done, tgt.node().serve(arr, dsvc) + net.transfer_us(kEnvelope) +
-                              dd.extra_latency_us);
-  }
-  *completion = done;
-
-  // The op is now applied at the primary regardless of the quorum outcome;
-  // in quorum mode, hint every miss so the repair path knows exactly what
-  // to fix. Classic mode (W=0) keeps its original contract: the full
-  // digest resync repairs a recovered replica, no hints involved.
-  const std::uint32_t W = store_->config().write_quorum;
-  if (W > 0) {
-    for (std::uint32_t rid : missed) {
-      if (primary.add_hint(rid, ekey)) counters_.hints_written.inc();
-    }
-  }
-
-  // Quorum evaluation. W=0 — classic all-live-replicas semantics. W>0 —
-  // W acks suffice, except for legs that END with the key removed: a
-  // removal must reach every live replica, or a stale copy could win
-  // version arbitration against "absent" (there are no tombstones).
-  bool quorum_met;
-  if (W == 0 || ends_removed) {
-    quorum_met = true;
-    for (std::uint32_t rid : missed) {
-      if (!store_->is_down(rid)) quorum_met = false;
-    }
-  } else {
-    quorum_met = acks >= std::min<std::uint32_t>(W, replicas.size());
-  }
-  if (!quorum_met) {
-    return {miss_err, "insufficient acks: " + ekey};
-  }
-  if (!missed.empty()) counters_.quorum_degraded_writes.inc();
-  return Status::success();
-}
-
-Status BlobClient::replicated_mutation(std::string_view key,
-                                       const std::vector<BlobServer::TxnOp>& ops) {
-  const SimMicros start = agent_ ? agent_->now() : 0;
-  SimMicros completion = start;
-  Status st = mutation_leg(std::string{key}, ops, start, &completion);
-  if (agent_) agent_->advance_to(completion);
-  return st;
-}
-
 // ----------------------------------------------- batched striping ------
 
 void BlobClient::cache_put(const std::string& key, MetaEntry e) {
@@ -780,32 +492,40 @@ ThreadPool& BlobClient::pool() {
 }
 
 namespace {
-rpc::BatchOpKind to_wire_kind(BlobServer::TxnOp::Kind k) {
+rpc::BatchOpKind to_wire_kind(BlobServer::OpRef::Kind k) {
   switch (k) {
-    case BlobServer::TxnOp::Kind::write: return rpc::BatchOpKind::write;
-    case BlobServer::TxnOp::Kind::truncate: return rpc::BatchOpKind::truncate;
-    case BlobServer::TxnOp::Kind::create: return rpc::BatchOpKind::create;
-    case BlobServer::TxnOp::Kind::remove: return rpc::BatchOpKind::remove;
-    case BlobServer::TxnOp::Kind::grow: return rpc::BatchOpKind::grow;
+    case BlobServer::OpRef::Kind::write: return rpc::BatchOpKind::write;
+    case BlobServer::OpRef::Kind::truncate: return rpc::BatchOpKind::truncate;
+    case BlobServer::OpRef::Kind::create: return rpc::BatchOpKind::create;
+    case BlobServer::OpRef::Kind::remove: return rpc::BatchOpKind::remove;
+    case BlobServer::OpRef::Kind::grow: return rpc::BatchOpKind::grow;
   }
   return rpc::BatchOpKind::write;
 }
+
+std::uint64_t payload_bytes(const std::vector<BlobServer::OpRef>& ops) {
+  std::uint64_t n = 0;
+  for (const auto& op : ops) n += op.data.size();
+  return n;
+}
 }  // namespace
 
-Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
-                                      std::uint32_t primary_id, SimMicros start,
-                                      SimMicros* completion) {
+Status BlobClient::mutation_group_leg(std::span<MutationSub* const> subs,
+                                      std::optional<std::uint32_t> wave_primary,
+                                      SimMicros start, SimMicros* completion) {
+  using Kind = BlobServer::OpRef::Kind;
   *completion = start;
   const auto& net = store_->cluster().net();
-  BlobServer& primary = store_->server(primary_id);
+  const bool wave = wave_primary.has_value();
+  const std::uint32_t W = store_->config().write_quorum;
+  for (MutationSub* sub : subs) {
+    for (auto& op : sub->ops) op.key = &sub->ekey;
+  }
 
   struct SubState {
-    std::vector<std::uint32_t> replicas;
-    std::vector<std::uint32_t> pending;  ///< dual-write targets (migration)
-    std::uint32_t windows = 0;           ///< open windows with this key pending
-    bool skip = false;  ///< tolerated not_found: the chunk is a hole
+    Placement place;    ///< replicas + dual-write targets, as locked
+    bool skip = false;  ///< chunk sub whose truncate/remove target is a hole
     Version pre_version = 0;
-    Version new_version = 0;
     bool continue_versions = false;
     bool ends_removed = false;
     std::uint32_t acks = 1;  ///< the primary's ack, counted below
@@ -813,77 +533,142 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   };
   std::vector<SubState> st(subs.size());
 
-  // One MultiKeyLock per involved node (ascending id), covering every group
-  // key replicated OR dual-targeted there: the same lexicographic
-  // (node, stripe) global order as mutation_leg's lock_key rounds and
-  // transaction commits, so the three paths cannot deadlock — this is the "single
-  // striped-lock acquisition round". Placements are re-resolved under the
-  // held stripes (the rebalancer flips migration state under the same
-  // stripes), retrying the round when a cutover moved a key in between.
+  // Placement + lock round: resolve, take one MultiKeyLock per involved node
+  // (ascending id) covering every key replicated OR dual-targeted there —
+  // the same (node, stripe) global order as transaction commits and the
+  // rebalancer, so none of them can deadlock — then re-resolve under the
+  // held stripes. The rebalancer flips a key's migration state under those
+  // same stripes, so a placement that re-reads identically is stable for the
+  // rest of the leg; a mismatch means membership moved: flush, pay one
+  // refresh round trip, and retry against the authoritative placement. The
+  // final pass proceeds on whatever it locked: finalize()'s verify sweep
+  // repairs any drift a pathological race could leave behind. A plain leg's
+  // pass 0 resolves through the placement cache; wave groups were placed
+  // fresh by their wave and may run on pool threads, so they never touch the
+  // per-client cache.
   std::map<std::uint32_t, std::vector<std::string_view>> node_keys;
   std::vector<BlobServer::MultiKeyLock> locks;
   for (int pass = 0;; ++pass) {
     node_keys.clear();
     for (std::size_t i = 0; i < subs.size(); ++i) {
-      const Placement p = store_->placement_of(subs[i]->ekey);
+      const std::string& ekey = subs[i]->ekey;
+      st[i].place = pass == 0 && !wave ? locate(ekey) : store_->placement_of(ekey);
+      const Placement& p = st[i].place;
       if (p.replicas.empty()) return {Errc::no_space, "no storage nodes in ring"};
-      st[i].replicas = p.replicas;
-      st[i].pending = p.pending;
-      st[i].windows = p.windows;
-      for (std::uint32_t n : p.replicas) node_keys[n].push_back(subs[i]->ekey);
-      for (std::uint32_t n : p.pending) node_keys[n].push_back(subs[i]->ekey);
+      for (std::uint32_t n : p.replicas) node_keys[n].push_back(ekey);
+      for (std::uint32_t n : p.pending) node_keys[n].push_back(ekey);
     }
     locks.clear();
     locks.reserve(node_keys.size());
     for (auto& [n, keys] : node_keys) locks.push_back(store_->server(n).lock_keys(keys));
     bool stable = true;
-    for (std::size_t i = 0; i < subs.size() && stable; ++i) {
-      const Placement p = store_->placement_of(subs[i]->ekey);
-      stable = p.replicas == st[i].replicas && p.pending == st[i].pending;
+    for (std::size_t i = 0; i < subs.size(); ++i) {
+      const Placement fresh = store_->placement_of(subs[i]->ekey);
+      const Placement& held = st[i].place;
+      if (fresh.replicas == held.replicas && fresh.pending == held.pending) continue;
+      stable = false;
+      if (!wave) place_flush(subs[i]->ekey);
     }
-    if (stable || pass >= 2) break;
+    if (stable) break;
+    counters_.epoch_refreshes.inc();
+    client_metrics().epoch_refreshes.inc();
+    if (pass >= 2) break;
     counters_.stale_epoch_retries.inc();
     client_metrics().stale_retries.inc();
+    start += 2 * net.transfer_us(kProbeReq);
   }
 
-  // The wave grouped these subs under `primary_id` from pre-lock placements;
-  // if a cutover moved a sub off this primary in between, the caller must
-  // re-group — applying through a non-owner could strand an acked write on
-  // servers about to drop it.
-  for (std::size_t i = 0; i < subs.size(); ++i) {
-    if (std::find(st[i].replicas.begin(), st[i].replicas.end(), primary_id) ==
-        st[i].replicas.end()) {
-      return {Errc::busy, "placement moved during batch: " + subs[i]->ekey};
+  // Acting primary. A wave grouped its subs under `wave_primary` from
+  // pre-lock placements; if a cutover moved one off it in between, the wave
+  // must re-group — applying through a non-owner could strand an acked write
+  // on servers about to drop it. A plain leg picks its acting primary here,
+  // under its own locks, so it never needs a re-group.
+  std::uint32_t primary_id = 0;
+  if (wave) {
+    primary_id = *wave_primary;
+    for (std::size_t i = 0; i < subs.size(); ++i) {
+      if (std::ranges::find(st[i].place.replicas, primary_id) == st[i].place.replicas.end()) {
+        return {Errc::busy, "placement moved during batch: " + subs[i]->ekey};
+      }
     }
+  } else {
+    const auto acting = store_->first_up(st.front().place.replicas);
+    if (!acting) return {Errc::unavailable, "all replicas down: " + subs.front()->ekey};
+    primary_id = *acting;
   }
+  BlobServer& primary = store_->server(primary_id);
 
-  // Prechecks + one version exchange per key, all under the held locks.
-  // Wave-2 writes create chunk keys on demand (the application-visible blob
-  // already exists); absent targets of tolerated truncate/remove subs are
-  // holes — skipped, not errors.
+  // Applicability check against the acting primary's current state, op by
+  // op (later ops see earlier ops' effects), so the apply below cannot fail
+  // on one replica and succeed on another. Then one version exchange per
+  // key, piggybacked on the lock round already holding every replica:
+  // `pre_version` is the base a replica must hold to apply the sub (else it
+  // missed earlier ops and would diverge — it gets a hint instead), and the
+  // new version continues above the highest version any live replica holds,
+  // so versions never regress across remove/recreate cycles and "max
+  // version = freshest" stays true for quorum arbitration.
   for (std::size_t i = 0; i < subs.size(); ++i) {
-    BatchSub& sub = *subs[i];
-    const bool exists = !primary.version_matches(sub.ekey, 0);
-    if (!exists && sub.op.kind != BlobServer::TxnOp::Kind::write) {
-      if (sub.tolerate_not_found) {
+    MutationSub& sub = *subs[i];
+    const bool pre_exists = !primary.version_matches(sub.ekey, 0);
+    bool exists = pre_exists;
+    Status check = Status::success();
+    std::uint64_t payload = 0;
+    for (const auto& op : sub.ops) {
+      payload += op.data.size();
+      switch (op.kind) {
+        case Kind::create:
+          if (exists) check = {Errc::already_exists, sub.ekey};
+          exists = true;
+          break;
+        case Kind::remove:
+          if (!exists) check = {Errc::not_found, sub.ekey};
+          exists = false;
+          break;
+        case Kind::truncate:
+        case Kind::grow:
+          if (!exists) check = {Errc::not_found, sub.ekey};
+          break;
+        case Kind::write:
+          if (!exists && !sub.chunk_sub && !store_->config().write_creates) {
+            check = {Errc::not_found, sub.ekey};
+          }
+          exists = true;
+          break;
+      }
+      if (!check.ok()) break;
+    }
+    if (!check.ok()) {
+      if (sub.chunk_sub) {  // an absent chunk is a hole: nothing to apply
         st[i].skip = true;
         continue;
       }
-      // Pay one failed round trip, as mutation_leg's precheck does.
+      // Pay the failed round trip to the primary (the rejection itself is a
+      // tiny, delivered reply — a faulted leg would surface below anyway).
       const SimMicros done =
-          primary.node().serve(start + net.transfer_us(req_bytes(sub.ekey)), 3);
+          primary.node().serve(start + net.transfer_us(req_bytes(sub.ekey, payload)), 3);
       *completion = done + net.transfer_us(kEnvelope);
-      return {Errc::not_found, sub.ekey};
+      return check;
     }
-    st[i].ends_removed = sub.op.kind == BlobServer::TxnOp::Kind::remove;
-    st[i].pre_version = exists ? primary.peek_version(sub.ekey).value_or(0) : 0;
+    st[i].ends_removed = !exists;
+    st[i].pre_version = pre_exists ? primary.peek_version(sub.ekey).value_or(0) : 0;
     Version base = st[i].pre_version;
-    for (std::uint32_t rid : st[i].replicas) {
+    BlobServer* freshest = &primary;
+    for (std::uint32_t rid : st[i].place.replicas) {
       if (store_->is_down(rid)) continue;
-      base = std::max(base, store_->server(rid).peek_version(sub.ekey).value_or(0));
+      BlobServer& srv = store_->server(rid);
+      const Version v = srv.peek_version(sub.ekey).value_or(0);
+      if (v > base) {
+        base = v;
+        freshest = &srv;
+      }
     }
-    st[i].new_version = base + 1;
     st[i].continue_versions = base > st[i].pre_version;
+    // Pre-leg size for the striped layout; in quorum mode the freshest live
+    // replica is authoritative (a stale primary may have missed acked writes).
+    sub.pre_exists = pre_exists;
+    sub.pre_size =
+        pre_exists ? (W == 0 ? primary : *freshest).peek_size(sub.ekey).value_or(0) : 0;
+    sub.new_version = base + sub.ops.size();
   }
 
   std::vector<std::size_t> run_idx;
@@ -893,27 +678,36 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   }
   if (run_idx.empty()) return Status::success();  // all holes: nothing to send
 
-  // Envelope sizing: one header per coalesced run of consecutive same-kind
-  // chunks. Chunk payloads stream in parallel, as independent per-chunk
-  // legs would — a vectored run is scattered at the NIC, so it is charged
-  // at the largest single chunk, not the run's sum; what coalescing saves
-  // is header bytes and per-sub fixed costs.
-  std::uint64_t req_meta = kEnvelope;
-  std::uint64_t max_payload = 0;
-  {
+  // Wire form, decided here once. A plain leg is one request:
+  // req_bytes(key, payload) out, a kEnvelope status back, one
+  // Transport::admit verdict, no whole-envelope re-send. A wave group is one
+  // batch envelope: one sub header per coalesced run of consecutive
+  // same-kind chunks, and chunk payloads stream in parallel, as independent
+  // per-chunk legs would — a vectored run is scattered at the NIC, so it is
+  // charged at the largest single chunk, not the run's sum; what coalescing
+  // saves is header bytes and per-sub fixed costs.
+  std::uint64_t req = 0;
+  std::uint64_t reply = kEnvelope;
+  std::uint32_t batch_subs = 0;  // 0: plain request
+  if (!wave) {
+    req = req_bytes(subs.front()->ekey, payload_bytes(subs.front()->ops));
+  } else {
+    batch_subs = static_cast<std::uint32_t>(run_idx.size());
+    req = kEnvelope;
+    std::uint64_t max_payload = 0;
     std::size_t r = 0;
     while (r < run_idx.size()) {
-      const BatchSub& first = *subs[run_idx[r]];
+      const MutationSub& first = *subs[run_idx[r]];
+      const Kind kind = first.ops.front().kind;
       std::size_t e = r + 1;
-      std::uint64_t run_max = first.op.data.size();
-      while (e < run_idx.size() &&
-             subs[run_idx[e]]->op.kind == first.op.kind &&
+      std::uint64_t run_max = payload_bytes(first.ops);
+      while (e < run_idx.size() && subs[run_idx[e]]->ops.front().kind == kind &&
              subs[run_idx[e]]->chunk == subs[run_idx[e - 1]]->chunk + 1) {
-        run_max = std::max<std::uint64_t>(run_max, subs[run_idx[e]]->op.data.size());
+        run_max = std::max(run_max, payload_bytes(subs[run_idx[e]]->ops));
         ++e;
       }
       const auto span = static_cast<std::uint32_t>(e - r);
-      req_meta += batch_header_bytes(first.ekey, to_wire_kind(first.op.kind), span);
+      req += batch_header_bytes(first.ekey, to_wire_kind(kind), span);
       if (span >= 2) {
         counters_.coalesced_ops.inc();
         client_metrics().batch_coalesced.inc();
@@ -921,20 +715,25 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
       max_payload = std::max(max_payload, run_max);
       r = e;
     }
+    req += max_payload;
+    reply += run_idx.size() * batch_substatus_bytes();
+    counters_.batch_envelopes.inc();
+    client_metrics().batch_envelopes.inc();
+    client_metrics().batch_size.add(run_idx.size());
   }
-  const std::uint64_t req = req_meta + max_payload;
-  const std::uint64_t reply_meta =
-      kEnvelope + run_idx.size() * batch_substatus_bytes();
-  counters_.batch_envelopes.inc();
-  client_metrics().batch_envelopes.inc();
-  client_metrics().batch_size.add(run_idx.size());
+  // Bytes of one sub streamed to a forwarding replica (`first` opens the
+  // forward envelope).
+  const auto slice_bytes = [&](const MutationSub& sub, bool first) {
+    if (!wave) return req;
+    return batch_header_bytes(sub.ekey, to_wire_kind(sub.ops.front().kind), 1) +
+           payload_bytes(sub.ops) + (first ? kEnvelope : 0);
+  };
 
-  // Coordinator trip: one envelope, one fault decision, one apply_ops, one
-  // queueing trip. Nothing is applied anywhere if it fails — the whole
-  // group is atomically absent.
-  LegDelivery prim =
-      try_deliver(primary, start, req, static_cast<std::uint32_t>(run_idx.size()));
-  if (!prim.ok) {
+  // Coordinator trip: one request, one fault decision, one apply_ops, one
+  // queueing trip. Nothing is applied anywhere if it fails — the leg is
+  // atomically absent.
+  LegDelivery prim = try_deliver(primary, start, req, batch_subs);
+  if (!prim.ok && wave) {
     // One whole-envelope re-send after a fresh backoff before giving up: a
     // batch envelope represents many legs, so it earns one extra attempt
     // beyond the per-attempt retry policy (ROADMAP "batch-envelope retry
@@ -942,23 +741,27 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
     counters_.batch_retries.inc();
     client_metrics().batch_retries.inc();
     SimMicros prev = store_->config().retry.backoff_base_us;
-    prim = try_deliver(primary, prim.failed_at + next_backoff(&prev), req,
-                       static_cast<std::uint32_t>(run_idx.size()));
+    prim = try_deliver(primary, prim.failed_at + next_backoff(&prev), req, batch_subs);
   }
   if (!prim.ok) {
     *completion = prim.failed_at;
     return {prim.err, "primary unreachable: " + subs.front()->ekey};
   }
+  // The shipped ops in sub order; run sub j's ops end at refs[op_end[j] - 1].
   std::vector<BlobServer::OpRef> refs;
-  refs.reserve(run_idx.size());
-  for (std::size_t i : run_idx) refs.push_back(subs[i]->op);
+  std::vector<std::size_t> op_end;
+  op_end.reserve(run_idx.size());
+  for (std::size_t i : run_idx) {
+    refs.insert(refs.end(), subs[i]->ops.begin(), subs[i]->ops.end());
+    op_end.push_back(refs.size());
+  }
   SimMicros svc0 = 0;
-  std::vector<SimMicros> marks(run_idx.size(), 0);
+  std::vector<SimMicros> marks(refs.size(), 0);
   Status ast = primary.apply_ops(refs.data(), refs.size(), &svc0, marks.data());
   if (ast.ok()) {
     for (std::size_t i : run_idx) {
       if (st[i].continue_versions && !st[i].ends_removed) {
-        (void)primary.force_version(subs[i]->ekey, st[i].new_version);
+        (void)primary.force_version(subs[i]->ekey, subs[i]->new_version);
       }
     }
   }
@@ -966,36 +769,45 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
       prim.attempt_start + net.transfer_us(req) + prim.extra_latency_us;
   if (!ast.ok()) {
     const SimMicros pd = primary.node().serve(prim_arrival, svc0);
-    *completion = pd + net.transfer_us(reply_meta) + prim.extra_latency_us;
+    *completion = pd + net.transfer_us(reply) + prim.extra_latency_us;
     return ast;
   }
-  // The batch is ONE queueing trip, but sub-ops stream out of the primary as
+  // The request is ONE queueing trip, but subs stream out of the primary as
   // their slice of the service completes: sub j finishes at serve-start +
-  // marks[j] and its replica forwards launch right then — the same
-  // pipelining independent per-chunk legs would get, without paying one
-  // envelope per chunk. Chained serve() calls (same arrival, per-op deltas)
-  // leave the node's FCFS busy-until identical to one serve(total).
+  // its last op's mark and its replica forwards launch right then — the
+  // same pipelining independent per-chunk legs would get, without paying
+  // one envelope per chunk. Chained serve() calls (same arrival, per-sub
+  // deltas) leave the node's FCFS busy-until identical to one serve(total).
   std::vector<SimMicros> prim_sub_done(run_idx.size(), prim_arrival);
   SimMicros prim_done = prim_arrival;
   {
     SimMicros prev = 0;
     for (std::size_t j = 0; j < run_idx.size(); ++j) {
-      prim_done = primary.node().serve(prim_arrival, marks[j] - prev);
+      const SimMicros mark = marks[op_end[j] - 1];
+      prim_done = primary.node().serve(prim_arrival, mark - prev);
       prim_sub_done[j] = prim_done;
-      prev = marks[j];
+      prev = mark;
     }
   }
-  SimMicros done = prim_done + net.transfer_us(reply_meta) + prim.extra_latency_us;
+  SimMicros done = prim_done + net.transfer_us(reply) + prim.extra_latency_us;
 
-  // Forward to the remaining replicas: one envelope per distinct node,
-  // pipelined off the primary's apply, with the per-key freshness gate.
+  // Forward to the remaining replicas: one request per node, in replica
+  // order (first appearance across the subs), pipelined off the primary's
+  // apply, with the per-key freshness gate.
+  std::vector<std::uint32_t> fwd_nodes;
+  for (std::size_t i : run_idx) {
+    for (std::uint32_t rid : st[i].place.replicas) {
+      if (rid != primary_id &&
+          std::find(fwd_nodes.begin(), fwd_nodes.end(), rid) == fwd_nodes.end()) {
+        fwd_nodes.push_back(rid);
+      }
+    }
+  }
   Errc miss_err = Errc::unavailable;
   Status fail = Status::success();
-  for (auto& [rid, keys] : node_keys) {
-    if (rid == primary_id) continue;
+  for (std::uint32_t rid : fwd_nodes) {
     auto replicated_here = [&](std::size_t i) {
-      return std::find(st[i].replicas.begin(), st[i].replicas.end(), rid) !=
-             st[i].replicas.end();
+      return std::ranges::find(st[i].place.replicas, rid) != st[i].place.replicas.end();
     };
     if (store_->is_down(rid)) {
       for (std::size_t i : run_idx) {
@@ -1015,20 +827,21 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
       }
     }
     if (fwd.empty()) continue;
-    if (store_->config().write_quorum > 0 &&
-        !breaker_allows(store_->server(rid).node().id(),
-                        prim_sub_done[fwd.front()])) {
-      // Open breaker on a quorum-mode forward: hint instead of burning the
-      // retry ladder (same gate as in mutation_leg).
+    if (W > 0 && !breaker_allows(rep.node().id(), prim_sub_done[fwd.front()])) {
+      // Open breaker on a quorum-mode forward: convert straight to a hint
+      // instead of burning the retry/timeout ladder against a replica
+      // already known to be failing. Classic mode (W=0) keeps trying —
+      // there every live replica must ack and no hint repair path absorbs
+      // the miss.
       for (std::size_t j : fwd) st[run_idx[j]].missed.push_back(rid);
       counters_.breaker_fast_hints.inc();
       client_metrics().breaker_fast_hints.inc();
       continue;
     }
-    // One forward envelope per node (one fault decision), opened when the
-    // FIRST forwarded sub streams out of the primary.
+    // One forward per node (one fault decision), opened when the FIRST
+    // forwarded sub streams out of the primary.
     LegDelivery d = try_deliver(rep, prim_sub_done[fwd.front()], req,
-                                static_cast<std::uint32_t>(fwd.size()));
+                                wave ? static_cast<std::uint32_t>(fwd.size()) : 0);
     if (!d.ok) {
       for (std::size_t j : fwd) st[run_idx[j]].missed.push_back(rid);
       miss_err = d.err;
@@ -1036,10 +849,15 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
       continue;
     }
     std::vector<BlobServer::OpRef> frefs;
-    frefs.reserve(fwd.size());
-    for (std::size_t j : fwd) frefs.push_back(subs[run_idx[j]]->op);
+    std::vector<std::size_t> fop_end;
+    fop_end.reserve(fwd.size());
+    for (std::size_t j : fwd) {
+      const auto& ops = subs[run_idx[j]]->ops;
+      frefs.insert(frefs.end(), ops.begin(), ops.end());
+      fop_end.push_back(frefs.size());
+    }
     SimMicros svc = 0;
-    std::vector<SimMicros> fmarks(fwd.size(), 0);
+    std::vector<SimMicros> fmarks(frefs.size(), 0);
     Status rs = rep.apply_ops(frefs.data(), frefs.size(), &svc, fmarks.data());
     if (!rs.ok()) {
       fail = {Errc::io_error, "replica divergence: " + rs.message()};
@@ -1048,65 +866,66 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
     for (std::size_t j : fwd) {
       const std::size_t i = run_idx[j];
       if (st[i].continue_versions && !st[i].ends_removed) {
-        (void)rep.force_version(subs[i]->ekey, st[i].new_version);
+        (void)rep.force_version(subs[i]->ekey, subs[i]->new_version);
       }
       ++st[i].acks;
     }
-    // Pipelined forwarding, mirroring mutation_leg: sub j's payload
-    // leaves the primary at prim_sub_done[j] (not at the whole group's
-    // prim_done), so later subs' primary serves overlap earlier subs'
-    // replica serves. The replica applies each sub FCFS as it lands.
+    // Pipelined forwarding: sub j leaves the primary at prim_sub_done[j]
+    // (not at the whole group's prim_done) — or when the delivered forward
+    // attempt was sent, if retries made that later — so later subs' primary
+    // serves overlap earlier subs' replica serves. The replica applies each
+    // sub FCFS as it lands.
     SimMicros rep_done = 0;
     SimMicros prev = 0;
     for (std::size_t k = 0; k < fwd.size(); ++k) {
       const std::size_t j = fwd[k];
-      const BatchSub& sub = *subs[run_idx[j]];
-      std::uint64_t sub_req =
-          batch_header_bytes(sub.ekey, to_wire_kind(sub.op.kind), 1) +
-          sub.op.data.size();
-      if (k == 0) sub_req += kEnvelope;
       const SimMicros launch = std::max(d.attempt_start, prim_sub_done[j]);
-      const SimMicros arr =
-          launch + net.transfer_us(sub_req) + d.extra_latency_us;
-      rep_done = rep.node().serve(arr, fmarks[k] - prev);
-      prev = fmarks[k];
+      const SimMicros arr = launch +
+                            net.transfer_us(slice_bytes(*subs[run_idx[j]], k == 0)) +
+                            d.extra_latency_us;
+      const SimMicros mark = fmarks[fop_end[k] - 1];
+      rep_done = rep.node().serve(arr, mark - prev);
+      prev = mark;
     }
-    done = std::max(done, rep_done + net.transfer_us(reply_meta) +
-                              d.extra_latency_us);
+    done = std::max(done, rep_done + net.transfer_us(reply) + d.extra_latency_us);
   }
   if (!fail.ok()) {
     *completion = done;
     return fail;
   }
 
-  // Dual-write targets per sub (open migration window): mirror each applied
-  // sub onto its pending new owners, version-gated, never counted as acks.
-  // See mutation_leg for the write-vs-copy race argument.
+  // Dual-write targets (open migration window): the pending new owners get
+  // each applied sub too, version-gated exactly like forwarding replicas so
+  // an out-of-order migration copy can never interleave histories. They are
+  // NOT acks — the old set stays authoritative for quorum — and a missed or
+  // down target gets a hint; finalize()'s verify sweep repairs whatever the
+  // hints don't. This is what makes the write-vs-copy race safe in both
+  // orders: copy-then-write lands here, write-then-copy is picked up by the
+  // copy itself.
   for (std::size_t i : run_idx) {
-    for (std::uint32_t tid : st[i].pending) {
+    MutationSub& sub = *subs[i];
+    for (std::uint32_t tid : st[i].place.pending) {
       if (store_->is_down(tid)) {
-        if (primary.add_hint(tid, subs[i]->ekey)) counters_.hints_written.inc();
+        if (primary.add_hint(tid, sub.ekey)) counters_.hints_written.inc();
         continue;
       }
       BlobServer& tgt = store_->server(tid);
-      if (!tgt.version_matches(subs[i]->ekey, st[i].pre_version)) continue;
-      const std::uint64_t dreq = req_bytes(subs[i]->ekey, subs[i]->op.data.size());
+      if (!tgt.version_matches(sub.ekey, st[i].pre_version)) continue;  // copy not landed
+      const std::uint64_t dreq = req_bytes(sub.ekey, payload_bytes(sub.ops));
       LegDelivery dd = try_deliver(tgt, prim_done, dreq);
       if (!dd.ok) {
-        if (primary.add_hint(tid, subs[i]->ekey)) counters_.hints_written.inc();
+        if (primary.add_hint(tid, sub.ekey)) counters_.hints_written.inc();
         done = std::max(done, dd.failed_at);
         continue;
       }
-      BlobServer::OpRef ref = subs[i]->op;
       SimMicros dsvc = 0;
-      SimMicros dmark = 0;
-      if (!tgt.apply_ops(&ref, 1, &dsvc, &dmark).ok()) continue;
+      if (!tgt.apply_ops(sub.ops.data(), sub.ops.size(), &dsvc).ok()) continue;
       if (st[i].continue_versions && !st[i].ends_removed) {
-        (void)tgt.force_version(subs[i]->ekey, st[i].new_version);
+        (void)tgt.force_version(sub.ekey, sub.new_version);
       }
       counters_.dual_writes.inc();
       client_metrics().dual_writes.inc();
-      if (st[i].windows >= 2) {
+      if (st[i].place.windows >= 2) {
         counters_.chain_dual_writes.inc();
         client_metrics().chain_dual_writes.inc();
       }
@@ -1117,8 +936,13 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   }
   *completion = done;
 
-  // Hints + per-key quorum evaluation, exactly as mutation_leg does.
-  const std::uint32_t W = store_->config().write_quorum;
+  // Each sub is now applied at the primary regardless of its quorum outcome.
+  // In quorum mode, hint every miss so the repair path knows exactly what
+  // to fix; classic mode (W=0) repairs a recovered replica by the full
+  // digest resync instead. Quorum: W=0 needs every live replica; W>0 needs
+  // W acks, except for a sub that ENDS with the key removed — a removal must
+  // reach every live replica, or a stale copy could win version arbitration
+  // against "absent" (there are no tombstones).
   for (std::size_t i : run_idx) {
     if (W > 0) {
       for (std::uint32_t rid : st[i].missed) {
@@ -1134,7 +958,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
     } else {
       quorum_met = st[i].acks >=
                    std::min<std::uint32_t>(W, static_cast<std::uint32_t>(
-                                                  st[i].replicas.size()));
+                                                  st[i].place.replicas.size()));
     }
     if (!quorum_met) return {miss_err, "insufficient acks: " + subs[i]->ekey};
     if (!st[i].missed.empty()) counters_.quorum_degraded_writes.inc();
@@ -1142,17 +966,23 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   return Status::success();
 }
 
-Status BlobClient::batched_mutation_wave(std::vector<BatchSub>& subs, SimMicros start,
-                                         SimMicros* done) {
-  *done = start;
+Status BlobClient::plain_leg(MutationSub& sub) {
+  const SimMicros start = agent_ ? agent_->now() : 0;
+  SimMicros done = start;
+  MutationSub* const one = &sub;
+  Status st = mutation_group_leg({&one, 1}, std::nullopt, start, &done);
+  if (agent_) agent_->advance_to(done);
+  return st;
+}
+
+Status BlobClient::batched_mutation_wave(std::vector<MutationSub>& subs, SimMicros start) {
   if (subs.empty()) return Status::success();
-  for (auto& s : subs) s.op.key = &s.ekey;  // pointers are stable only now
 
   for (int pass = 0;; ++pass) {
   const std::uint64_t epoch0 = store_->ring_epoch();
   // Group by acting primary; groups are formed and ordered by chunk index —
   // deterministic batch formation, independent of execution timing.
-  std::map<std::uint32_t, std::vector<BatchSub*>> by_primary;
+  std::map<std::uint32_t, std::vector<MutationSub*>> by_primary;
   for (auto& s : subs) {
     const auto replicas = store_->replicas_of(s.ekey);
     if (replicas.empty()) return {Errc::no_space, "no storage nodes in ring"};
@@ -1162,7 +992,7 @@ Status BlobClient::batched_mutation_wave(std::vector<BatchSub>& subs, SimMicros 
   }
   struct Group {
     std::uint32_t primary = 0;
-    std::vector<BatchSub*> subs;
+    std::vector<MutationSub*> subs;
     Status status = Status::success();
     SimMicros completion = 0;
   };
@@ -1193,7 +1023,7 @@ Status BlobClient::batched_mutation_wave(std::vector<BatchSub>& subs, SimMicros 
   }
   Status st = Status::success();
   for (Group& g : groups) {
-    *done = std::max(*done, g.completion);
+    if (agent_) agent_->advance_to(g.completion);
     if (st.ok() && !g.status.ok()) st = g.status;
   }
   // A group that saw its placement move under it (membership cutover racing
@@ -1871,8 +1701,8 @@ Status BlobClient::create(std::string_view key) {
   OpBudget budget(*this, agent_ ? agent_->now() : 0);
   if (key.empty()) return {Errc::invalid_argument, "empty blob key"};
   cache_erase(std::string{key});
-  return replicated_mutation(
-      key, {{BlobServer::TxnOp::Kind::create, std::string{key}, 0, {}, 0}});
+  MutationSub sub{.ekey = std::string{key}, .ops = {{BlobServer::OpRef::Kind::create}}};
+  return plain_leg(sub);
 }
 
 Status BlobClient::remove(std::string_view key) {
@@ -1886,26 +1716,19 @@ Status BlobClient::remove(std::string_view key) {
   // plans the sweep of the chunk keys c >= 1 in per-primary batch envelopes
   // with tolerated not_found (hole chunks have no stored key).
   const SimMicros start = agent_ ? agent_->now() : 0;
-  SimMicros done = start;
-  LegInfo li;
-  Status st = mutation_leg(base, {{BlobServer::TxnOp::Kind::remove, base, 0, {}, 0}},
-                           start, &done, &li);
-  if (st.ok() && cb > 0 && li.pre_size > cb) {
-    std::vector<BatchSub> subs;
-    const std::uint64_t chunks = (li.pre_size + cb - 1) / cb;
+  MutationSub base_sub{.ekey = base, .ops = {{BlobServer::OpRef::Kind::remove}}};
+  Status st = plain_leg(base_sub);
+  if (st.ok() && cb > 0 && base_sub.pre_size > cb) {
+    std::vector<MutationSub> subs;
+    const std::uint64_t chunks = (base_sub.pre_size + cb - 1) / cb;
     for (std::uint64_t c = 1; c < chunks; ++c) {
-      BatchSub sub;
-      sub.ekey = chunk_engine_key(key, c);
-      sub.chunk = c;
-      sub.tolerate_not_found = true;
-      sub.op = {BlobServer::TxnOp::Kind::remove, nullptr, 0, {}, 0, 0};
-      subs.push_back(std::move(sub));
+      subs.push_back({.ekey = chunk_engine_key(key, c),
+                      .chunk = c,
+                      .ops = {{BlobServer::OpRef::Kind::remove}},
+                      .chunk_sub = true});
     }
-    SimMicros wdone = start;
-    st = batched_mutation_wave(subs, start, &wdone);
-    done = std::max(done, wdone);
+    st = batched_mutation_wave(subs, start);
   }
-  if (agent_) agent_->advance_to(done);
   cache_erase(base);
   return st;
 }
@@ -2174,7 +1997,8 @@ Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offs
     // Single-chunk fast path. Any cached size/version for this key is stale
     // the moment the mutation lands.
     cache_erase(std::string{key});
-    Status st = replicated_mutation(key, {write_op(std::string{key}, offset, data)});
+    MutationSub sub{.ekey = std::string{key}, .ops = {write_op(offset, data)}};
+    Status st = plain_leg(sub);
     if (!st.ok()) return st.error();
     counters_.bytes_written.add(data.size());
     client_metrics().write_bytes.add(data.size());
@@ -2189,44 +2013,35 @@ Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offs
   // simulated instant (scatter-gather: the ack waits for the slowest leg).
   const std::string base{key};
   const SimMicros start = agent_ ? agent_->now() : 0;
-  SimMicros done = start;
-
   const ByteView base_slice =
       offset < cb ? data.subspan(0, std::min(end, cb) - offset) : ByteView{};
-  LegInfo li;
-  Status st = mutation_leg(base,
-                           {write_op(base, offset < cb ? offset : 0, base_slice),
-                            {BlobServer::TxnOp::Kind::grow, base, 0, {}, end}},
-                           start, &done, &li);
+  MutationSub base_sub{.ekey = base,
+                       .ops = {write_op(offset < cb ? offset : 0, base_slice),
+                               {BlobServer::OpRef::Kind::grow, nullptr, 0, {}, end}}};
+  Status st = plain_leg(base_sub);
 
   // Chunk legs c >= 1: one queueing trip, one lock round, one fault decision
   // per acting primary. The wave creates chunk keys on demand — the base leg
   // already enforced write_creates for the application-visible blob.
   if (st.ok()) {
-    std::vector<BatchSub> subs;
+    std::vector<MutationSub> subs;
     for (std::uint64_t c = std::max<std::uint64_t>(1, offset / cb); c * cb < end; ++c) {
       const std::uint64_t lo = std::max(offset, c * cb);
       const std::uint64_t hi = std::min(end, (c + 1) * cb);
-      const ByteView slice = data.subspan(lo - offset, hi - lo);
-      BatchSub sub;
-      sub.ekey = chunk_engine_key(key, c);
-      sub.chunk = c;
-      sub.op = {BlobServer::TxnOp::Kind::write, nullptr, lo - c * cb, slice, 0,
-                content_checksum(slice)};
-      subs.push_back(std::move(sub));
+      subs.push_back({.ekey = chunk_engine_key(key, c),
+                      .chunk = c,
+                      .ops = {write_op(lo - c * cb, data.subspan(lo - offset, hi - lo))},
+                      .chunk_sub = true});
     }
-    SimMicros wdone = start;
-    st = batched_mutation_wave(subs, start, &wdone);
-    done = std::max(done, wdone);
+    st = batched_mutation_wave(subs, start);
   }
-  if (agent_) agent_->advance_to(done);
   if (!st.ok()) {
     cache_erase(base);
     return st.error();
   }
   // The base leg told us the pre-image size and the version it installed:
   // enough to refresh the metadata cache without another round.
-  cache_put(base, {std::max(li.pre_size, end), li.new_version});
+  cache_put(base, {std::max(base_sub.pre_size, end), base_sub.new_version});
   counters_.bytes_written.add(data.size());
   client_metrics().write_bytes.add(data.size());
   return data.size();
@@ -2245,38 +2060,30 @@ Status BlobClient::truncate(std::string_view key, std::uint64_t new_size) {
   // size, which plans the chunk wave. Chunks entirely past the new end
   // become tolerated removes; the straddling chunk is trimmed.
   const SimMicros start = agent_ ? agent_->now() : 0;
-  SimMicros done = start;
-  LegInfo li;
-  Status st = mutation_leg(base, {{BlobServer::TxnOp::Kind::truncate, base, 0, {}, new_size}},
-                           start, &done, &li);
-  const std::uint64_t chunks = cb == 0 ? 0 : (std::max(li.pre_size, new_size) + cb - 1) / cb;
+  MutationSub base_sub{.ekey = base,
+                       .ops = {{BlobServer::OpRef::Kind::truncate, nullptr, 0, {}, new_size}}};
+  Status st = plain_leg(base_sub);
+  const std::uint64_t chunks =
+      cb == 0 ? 0 : (std::max(base_sub.pre_size, new_size) + cb - 1) / cb;
   if (st.ok() && chunks > 1) {
-    std::vector<BatchSub> subs;
+    std::vector<MutationSub> subs;
     for (std::uint64_t c = 1; c < chunks; ++c) {
       const std::uint64_t cstart = c * cb;
-      BatchSub sub;
-      sub.ekey = chunk_engine_key(key, c);
-      sub.chunk = c;
-      sub.tolerate_not_found = true;  // hole chunks have no stored key
-      if (cstart >= new_size) {
-        sub.op = {BlobServer::TxnOp::Kind::remove, nullptr, 0, {}, 0, 0};
-      } else if (new_size < cstart + cb) {
-        sub.op = {BlobServer::TxnOp::Kind::truncate, nullptr, 0, {}, new_size - cstart, 0};
-      } else {
-        continue;  // chunk fully below the new end
+      BlobServer::OpRef op{BlobServer::OpRef::Kind::remove};
+      if (cstart < new_size) {
+        if (new_size >= cstart + cb) continue;  // chunk fully below the new end
+        op = {BlobServer::OpRef::Kind::truncate, nullptr, 0, {}, new_size - cstart};
       }
-      subs.push_back(std::move(sub));
+      subs.push_back({.ekey = chunk_engine_key(key, c), .chunk = c, .ops = {op},
+                      .chunk_sub = true});  // hole chunks have no stored key
     }
-    SimMicros wdone = start;
-    st = batched_mutation_wave(subs, start, &wdone);
-    done = std::max(done, wdone);
+    st = batched_mutation_wave(subs, start);
   }
-  if (agent_) agent_->advance_to(done);
   if (!st.ok()) {
     cache_erase(base);
     return st;
   }
-  cache_put(base, {new_size, li.new_version});
+  cache_put(base, {new_size, base_sub.new_version});
   return st;
 }
 
@@ -2330,22 +2137,23 @@ BlobTransaction& BlobTransaction::write(std::string_view key, std::uint64_t offs
   // The one copy of the caller's bytes (they may change or die before
   // commit); every server's apply views it.
   const Bytes& owned = payloads_.emplace_back(data.begin(), data.end());
-  ops_.push_back(write_op(std::string{key}, offset, as_view(owned)));
+  ops_.push_back(write_op(offset, as_view(owned), &keys_.emplace_back(key)));
   return *this;
 }
 
 BlobTransaction& BlobTransaction::truncate(std::string_view key, std::uint64_t new_size) {
-  ops_.push_back({BlobServer::TxnOp::Kind::truncate, std::string{key}, 0, {}, new_size});
+  ops_.push_back(
+      {BlobServer::OpRef::Kind::truncate, &keys_.emplace_back(key), 0, {}, new_size});
   return *this;
 }
 
 BlobTransaction& BlobTransaction::create(std::string_view key) {
-  ops_.push_back({BlobServer::TxnOp::Kind::create, std::string{key}, 0, {}, 0});
+  ops_.push_back({BlobServer::OpRef::Kind::create, &keys_.emplace_back(key)});
   return *this;
 }
 
 BlobTransaction& BlobTransaction::remove(std::string_view key) {
-  ops_.push_back({BlobServer::TxnOp::Kind::remove, std::string{key}, 0, {}, 0});
+  ops_.push_back({BlobServer::OpRef::Kind::remove, &keys_.emplace_back(key)});
   return *this;
 }
 
@@ -2356,33 +2164,27 @@ BlobTransaction& BlobTransaction::expect_version(std::string_view key, Version v
 
 Status BlobTransaction::commit() {
   BlobClient& c = *client_;
-  c.counters_.txns.inc();
   BlobClient::OpBudget budget(c, c.agent() ? c.agent()->now() : 0);
   // Both branches must already be string_views: a ""/std::string ternary
   // would materialize a temporary string that dies here while the timer's
   // view of it lives until end of commit().
   PrimTimer timer(client_metrics().txn, c.agent(),
                   ops_.empty() ? std::string_view{}
-                               : std::string_view{ops_.front().key});
+                               : std::string_view{*ops_.front().key});
   if (ops_.empty()) return Status::success();
   BlobStore& store = c.store();
   const std::uint32_t W = store.config().write_quorum;
 
-  // Involved servers: every replica of every touched key. Each server's
-  // batch references the transaction's own ops (key and payload views), so
-  // no op is copied per server.
-  std::set<std::uint32_t> involved;
+  // Involved servers (ascending id): every replica of every touched key.
+  // Each server's batch copies the transaction's op views, never a key or
+  // payload.
   std::map<std::uint32_t, std::vector<BlobServer::OpRef>> per_server;
   std::uint64_t payload = 0;
   for (const auto& op : ops_) {
-    payload += op.key.size() + op.view.size() + 24;
-    for (std::uint32_t n : store.replicas_of(op.key)) {
-      involved.insert(n);
-      per_server[n].push_back(
-          {op.kind, &op.key, op.offset, op.view, op.new_size, op.checksum});
-    }
+    payload += op.key->size() + op.data.size() + 24;
+    for (std::uint32_t n : store.replicas_of(*op.key)) per_server[n].push_back(op);
   }
-  if (involved.empty()) return {Errc::no_space, "no storage nodes in ring"};
+  if (per_server.empty()) return {Errc::no_space, "no storage nodes in ring"};
 
   // Lock phase: whole-server exclusive locks in ascending node id order —
   // the one global order shared with the per-key mutation path, which rules
@@ -2391,8 +2193,8 @@ Status BlobTransaction::commit() {
   // rounds carry their own acknowledgment/retry machinery); what failures
   // leave behind is modeled by the version gating below.
   std::vector<std::unique_lock<std::shared_mutex>> locks;
-  locks.reserve(involved.size());
-  for (std::uint32_t n : involved) locks.push_back(store.server(n).lock_exclusive());
+  locks.reserve(per_server.size());
+  for (const auto& [n, ops] : per_server) locks.push_back(store.server(n).lock_exclusive());
 
   const auto& net = store.cluster().net();
   sim::SimAgent* agent = c.agent();
@@ -2400,7 +2202,7 @@ Status BlobTransaction::commit() {
 
   // Prepare round: small validation message to every involved server.
   SimMicros prepare_done = start;
-  for (std::uint32_t n : involved) {
+  for (const auto& [n, ops] : per_server) {
     const SimMicros arr = start + net.transfer_us(64);
     prepare_done = std::max(prepare_done, store.server(n).node().serve(arr, 3));
   }
@@ -2408,7 +2210,7 @@ Status BlobTransaction::commit() {
   // Authoritative per-key version: the freshest live replica (in classic
   // mode every live replica agrees; in quorum mode stale replicas may lag).
   std::set<std::string> touched;
-  for (const auto& op : ops_) touched.insert(op.key);
+  for (const auto& op : ops_) touched.insert(*op.key);
   // A committed transaction bumps versions behind the metadata cache's back;
   // dropping the entries before application covers every outcome.
   for (const std::string& k : touched) c.cache_erase(k);
@@ -2459,28 +2261,28 @@ Status BlobTransaction::commit() {
   std::set<std::string> created_in_txn;
   for (const auto& op : ops_) {
     const bool pre_exists = [&] {
-      const std::uint32_t holder = auth_holder[op.key];
-      return !store.server(holder).version_matches(op.key, 0);
+      const std::uint32_t holder = auth_holder[*op.key];
+      return !store.server(holder).version_matches(*op.key, 0);
     }();
-    const bool exists = pre_exists || created_in_txn.count(op.key) != 0;
+    const bool exists = pre_exists || created_in_txn.count(*op.key) != 0;
     bool applicable = true;
     switch (op.kind) {
-      case BlobServer::TxnOp::Kind::create:
+      case BlobServer::OpRef::Kind::create:
         applicable = !exists;
-        created_in_txn.insert(op.key);
+        created_in_txn.insert(*op.key);
         break;
-      case BlobServer::TxnOp::Kind::remove:
-      case BlobServer::TxnOp::Kind::truncate:
-      case BlobServer::TxnOp::Kind::grow:
+      case BlobServer::OpRef::Kind::remove:
+      case BlobServer::OpRef::Kind::truncate:
+      case BlobServer::OpRef::Kind::grow:
         applicable = exists;
         break;
-      case BlobServer::TxnOp::Kind::write:
-        created_in_txn.insert(op.key);  // auto-creates
+      case BlobServer::OpRef::Kind::write:
+        created_in_txn.insert(*op.key);  // auto-creates
         break;
     }
     if (!applicable) {
       if (agent) agent->advance_to(prepare_done + net.transfer_us(32));
-      return {Errc::conflict, "inapplicable op on: " + op.key};
+      return {Errc::conflict, "inapplicable op on: " + *op.key};
     }
   }
 
@@ -2518,7 +2320,7 @@ Status BlobTransaction::commit() {
   SimMicros commit_done = prepare_done;
   Status failure = Status::success();
   std::map<std::string, std::uint64_t> key_op_count;
-  for (const auto& op : ops_) ++key_op_count[op.key];
+  for (const auto& op : ops_) ++key_op_count[*op.key];
   for (auto& [n, server_ops] : per_server) {
     if (store.is_down(n)) continue;  // degraded commit; resync repairs later
     std::vector<BlobServer::OpRef> runnable;

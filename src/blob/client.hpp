@@ -22,12 +22,14 @@
 // Striping: I/O past StoreConfig::chunk_bytes is split into chunks, each
 // placed independently on the ring (chunk 0 under the application key
 // itself, carrying the full logical size). Blobs at or below one chunk never
-// pay for striping: single-chunk ops run one leg (read_leg / stat_leg /
-// mutation_leg). A striped op has one path: mutations run the chunk-0 base
-// leg, then ship chunks c >= 1 as one batch envelope per acting primary;
-// reads ship one envelope per candidate replica set, with a piggybacked stat
-// sub verifying the client metadata cache's layout. Envelopes fork from the
-// same simulated instant and the call completes at the slowest one
+// pay for striping: a single-chunk read or stat runs one leg (read_leg /
+// stat_leg) and a single-chunk mutation is one plain request through the
+// one replicated-mutation leg (mutation_group_leg). A striped op has one
+// path: mutations run the chunk-0 base leg through that same leg, then ship
+// chunks c >= 1 as one batch envelope per acting primary; reads ship one
+// envelope per candidate replica set, with a piggybacked stat sub verifying
+// the client metadata cache's layout. Envelopes fork from the same
+// simulated instant and the call completes at the slowest one
 // (scatter-gather). chunk_bytes = 0 turns striping off: every op is a
 // single-key leg.
 #pragma once
@@ -36,6 +38,8 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -66,7 +70,6 @@ struct ClientCounters {
   obs::LocalCounter truncates;
   obs::LocalCounter sizes;
   obs::LocalCounter scans;
-  obs::LocalCounter txns;
   obs::LocalCounter bytes_read;
   obs::LocalCounter bytes_written;
   // Fault-tolerance machinery (see DESIGN.md "Fault model").
@@ -75,7 +78,6 @@ struct ClientCounters {
   obs::LocalCounter failovers;              ///< read legs moved to another replica
   obs::LocalCounter quorum_degraded_writes; ///< acked mutations that missed >=1 replica
   obs::LocalCounter hints_written;          ///< hinted-handoff entries recorded
-  obs::LocalCounter hints_drained;          ///< hint repairs this client executed
   // Batched scatter-gather + metadata cache (see DESIGN.md "Batched striping").
   // bytes_read counts bytes backed by stored extents only; zero-filled bytes
   // a read returns for unwritten holes / absent chunks land here instead.
@@ -200,30 +202,6 @@ class BlobClient {
                           const std::vector<std::uint32_t>& lives,
                           std::uint32_t quorum, SimMicros start);
 
-  /// One replicated mutation leg: apply `ops` (all targeting engine key
-  /// `ekey`) with primary-forwarding timing, holding the key's stripe on
-  /// every replica (ascending node order). Forks from simulated time
-  /// `start`; sets *completion to the ack time. The acting primary must ack
-  /// (coordinator); further replicas ack until the configured write quorum
-  /// is met, and replicas that are down, stale, or unreachable through the
-  /// fault injector are recorded as hinted-handoff entries on the primary.
-  /// Pre-leg state of the mutated key, observed under the leg's own lock
-  /// round (one version exchange — no extra stat round). Striped mutations
-  /// use it for chunk layout (pre_size) and the metadata cache (new_version)
-  /// instead of a separate peek.
-  struct LegInfo {
-    bool pre_exists = false;
-    std::uint64_t pre_size = 0;  ///< authoritative logical size before the leg
-    Version new_version = 0;     ///< key's version after a successful leg
-  };
-  Status mutation_leg(const std::string& ekey, const std::vector<BlobServer::TxnOp>& ops,
-                      SimMicros start, SimMicros* completion, LegInfo* info = nullptr);
-
-  /// Single-leg convenience wrapper: runs the leg at the agent's current
-  /// time and advances the agent to its completion.
-  Status replicated_mutation(std::string_view key,
-                             const std::vector<BlobServer::TxnOp>& ops);
-
   /// One read leg, forked from `start`. With read quorum 1 the leg fails
   /// over through the live replica set (retrying per policy) and optionally
   /// hedges; with a larger read quorum it first version-probes R replicas
@@ -311,32 +289,54 @@ class BlobClient {
 
   // --- batched scatter-gather (every striped op) ---------------------------
 
-  /// One chunk-granular mutation of a batched wave: a chunk c >= 1 of a
-  /// striped write, truncate or remove (the chunk-0 base leg runs through
-  /// mutation_leg first and plans the wave). Write subs create their chunk
-  /// key on demand; truncate/remove subs tolerate an absent key (a hole).
-  /// `op.key` is fixed up to point at `ekey` once the wave's sub vector is
-  /// final (short keys live in SSO storage, so the pointer is only stable
-  /// after the last push_back).
-  struct BatchSub {
+  /// One replicated mutation of one engine key: 1-2 ops applied in order
+  /// (a striped write's base leg is write + grow), the key's version
+  /// advancing by the op count. Ops are checked one by one against the
+  /// acting primary (later ops see earlier ops' effects): create on an
+  /// existing key fails, and so do remove/truncate/grow on an absent key and
+  /// a write on an absent key with write_creates off. A `chunk_sub` — chunk
+  /// c >= 1 of a striped write, truncate or remove — instead creates its
+  /// key on demand and skips an absent truncate/remove target (a hole).
+  /// The leg points each op's key at `ekey`.
+  struct MutationSub {
     std::string ekey;
-    std::uint64_t chunk = 0;           ///< chunk index (grouping / coalescing)
-    BlobServer::OpRef op;              ///< views the caller's buffer, no copy
-    bool tolerate_not_found = false;   ///< truncate/remove of a maybe-hole chunk
+    std::uint64_t chunk = 0;            ///< chunk index (grouping / coalescing)
+    std::vector<BlobServer::OpRef> ops; ///< view the caller's buffers, no copy
+    bool chunk_sub = false;
+    // Results (filled by mutation_group_leg), observed under the leg's own
+    // lock round — one version exchange, no extra stat round. Striped ops
+    // plan their chunk wave from pre_size and refresh the metadata cache
+    // with new_version.
+    bool pre_exists = false;
+    std::uint64_t pre_size = 0;  ///< authoritative logical size before the leg
+    Version new_version = 0;     ///< key's version after a successful leg
   };
 
-  /// Execute a wave of chunk mutations: group by acting primary, one batch
+  /// Execute a wave of chunk subs: group by acting primary, one batch
   /// envelope per group (chunk-ascending group order, deterministic), fanned
   /// out on the shared thread pool when no fault injector is installed.
-  /// *done is the max group completion (sim stays max-of-legs).
-  Status batched_mutation_wave(std::vector<BatchSub>& subs, SimMicros start,
-                               SimMicros* done);
+  /// Every group forks from `start`; the agent advances to the slowest
+  /// group's completion (sim stays max-of-legs).
+  Status batched_mutation_wave(std::vector<MutationSub>& subs, SimMicros start);
 
-  /// One per-primary mutation group: single striped-lock acquisition round
-  /// per node (ascending), one version exchange per key, one envelope +
-  /// apply_ops trip to the primary, one per forwarding replica.
-  Status mutation_group_leg(std::vector<BatchSub*>& subs, std::uint32_t primary_id,
-                            SimMicros start, SimMicros* completion);
+  /// The one replicated-mutation leg, forked from `start`: one striped-lock
+  /// round per involved node (ascending), one version exchange per key, one
+  /// apply_ops trip to the acting primary, one forward per further replica,
+  /// dual writes to pending owners, hints and the quorum rule. The acting
+  /// primary must ack; further replicas ack until the write quorum is met,
+  /// and replicas that are down, stale, or unreachable are recorded as
+  /// hinted-handoff entries. With `wave_primary` set the subs are a wave
+  /// group shipped as one batch envelope through that primary (Errc::busy
+  /// when a cutover moved a sub off it: the wave re-groups). Without it,
+  /// `subs` is one single-key op or striped base leg, sent as a plain
+  /// request to the acting primary picked under the leg's own locks.
+  Status mutation_group_leg(std::span<MutationSub* const> subs,
+                            std::optional<std::uint32_t> wave_primary, SimMicros start,
+                            SimMicros* completion);
+
+  /// A single-key op or a striped base leg: `sub` alone, as a plain request
+  /// forked from the agent's clock, which advances to the leg's completion.
+  Status plain_leg(MutationSub& sub);
 
   /// One chunk-granular slice of a batched striped read (plus its result).
   struct ReadSub {
@@ -420,7 +420,7 @@ class BlobClient {
 class BlobTransaction {
  public:
   explicit BlobTransaction(BlobClient& client) : client_(&client) {}
-  // ops_ views payloads_: a copy would view the source's buffers.
+  // ops_ views keys_ and payloads_: a copy would view the source's.
   BlobTransaction(const BlobTransaction&) = delete;
   BlobTransaction& operator=(const BlobTransaction&) = delete;
   BlobTransaction(BlobTransaction&&) = default;
@@ -443,9 +443,11 @@ class BlobTransaction {
 
  private:
   BlobClient* client_;
-  /// Owned copies of the written bytes, one per write(); ops_ views them.
+  /// Owned copies of each op's key and each write()'s bytes; ops_ views
+  /// them (deque elements never move, not even when the deque does).
+  std::deque<std::string> keys_;
   std::deque<Bytes> payloads_;
-  std::vector<BlobServer::TxnOp> ops_;
+  std::vector<BlobServer::OpRef> ops_;
   std::vector<std::pair<std::string, Version>> preconditions_;
 };
 

@@ -334,16 +334,6 @@ std::vector<BlobStat> BlobServer::scan(const std::string& prefix, SimMicros* ser
   return out;
 }
 
-Status BlobServer::apply_txn_ops(const std::vector<TxnOp>& ops, SimMicros* service_us) {
-  std::vector<OpRef> refs;
-  refs.reserve(ops.size());
-  for (const auto& op : ops) {
-    refs.push_back(OpRef{op.kind, &op.key, op.offset, op.view, op.new_size,
-                         op.checksum});
-  }
-  return apply_ops(refs.data(), refs.size(), service_us);
-}
-
 Status BlobServer::apply_ops(const OpRef* ops, std::size_t count, SimMicros* service_us,
                              SimMicros* per_op_us) {
   auto& m = server_metrics();
@@ -361,7 +351,7 @@ Status BlobServer::apply_ops(const OpRef* ops, std::size_t count, SimMicros* ser
     const OpRef& op = ops[i];
     Status st;
     switch (op.kind) {
-      case TxnOp::Kind::write: {
+      case OpRef::Kind::write: {
         auto r = engine_.write(*op.key, op.offset, op.data, true, op.checksum);
         if (!r.ok()) {
           st = r.error();
@@ -374,7 +364,7 @@ Status BlobServer::apply_ops(const OpRef* ops, std::size_t count, SimMicros* ser
         node_->cache().touch_write(fnv1a64(*op.key), r.value().size);
         break;
       }
-      case TxnOp::Kind::truncate: {
+      case OpRef::Kind::truncate: {
         auto r = engine_.truncate(*op.key, op.new_size);
         if (!r.ok()) {
           st = r.error();
@@ -384,14 +374,14 @@ Status BlobServer::apply_ops(const OpRef* ops, std::size_t count, SimMicros* ser
         t += svc_metadata();
         break;
       }
-      case TxnOp::Kind::create:
+      case OpRef::Kind::create:
         st = engine_.create(*op.key);
         if (st.ok()) {
           m.create.calls.inc();
           t += svc_metadata();
         }
         break;
-      case TxnOp::Kind::remove:
+      case OpRef::Kind::remove:
         node_->cache().invalidate(fnv1a64(*op.key));
         st = engine_.remove(*op.key);
         if (st.ok()) {
@@ -399,7 +389,7 @@ Status BlobServer::apply_ops(const OpRef* ops, std::size_t count, SimMicros* ser
           t += svc_metadata();
         }
         break;
-      case TxnOp::Kind::grow: {
+      case OpRef::Kind::grow: {
         auto r = engine_.grow(*op.key, op.new_size);
         if (!r.ok()) {
           st = r.error();

@@ -146,43 +146,29 @@ class BlobServer {
   Result<BlobStat> stat(const std::string& key, SimMicros* service_us);
   std::vector<BlobStat> scan(const std::string& prefix, SimMicros* service_us);
 
-  /// Apply a batch of mutations; used by the replicated-mutation and
-  /// transaction commit paths. The caller holds either lock_exclusive() or
-  /// a KeyLock covering every key in `ops`; precondition checks were
-  /// already done.
-  struct TxnOp {
+  /// Zero-copy view of one mutation op: the client's mutation legs and
+  /// transaction commit reference the sender's key and buffer slices
+  /// directly instead of copying an op per leg or per server. `key` and
+  /// `data` must outlive the apply.
+  struct OpRef {
     enum class Kind { write, truncate, create, remove, grow } kind;
-    std::string key;
+    const std::string* key = nullptr;
     std::uint64_t offset = 0;
-    /// Write payload: a view of the sender's buffer (the caller's bytes for
-    /// a client write, the transaction's own copy for a transactional one),
-    /// shipped as an iovec slice — never copied per leg or per replica. The
-    /// buffer must outlive the apply.
-    ByteView view{};
+    /// Write payload, shipped as an iovec slice — never copied per leg or
+    /// per replica.
+    ByteView data{};
     std::uint64_t new_size = 0;   ///< truncate target / grow minimum size
-    /// content_checksum(view), computed once by the sender and stored as-is
+    /// content_checksum(data), computed once by the sender and stored as-is
     /// by every replica (0 = none: the engine computes it).
     std::uint64_t checksum = 0;
   };
-  Status apply_txn_ops(const std::vector<TxnOp>& ops, SimMicros* service_us);
 
-  /// Zero-copy view of one mutation op: the batched scatter-gather client
-  /// and transaction commit reference the sender's key and buffer slices
-  /// directly instead of copying an op per leg or per server. `key` and
-  /// `data` must outlive the call.
-  struct OpRef {
-    TxnOp::Kind kind;
-    const std::string* key;
-    std::uint64_t offset = 0;
-    ByteView data;
-    std::uint64_t new_size = 0;
-    std::uint64_t checksum = 0;
-  };
-
-  /// Apply a batch of op views under the caller's locks (same contract as
-  /// apply_txn_ops, which delegates here). Charges cpu_op_us ONCE for the
-  /// batch plus each op's own data/metadata costs — the server-side half of
-  /// the batching win: k ops in one envelope parse once, not k times.
+  /// Apply a batch of op views; every client mutation and transaction
+  /// commit lands here. The caller holds either lock_exclusive() or a
+  /// (Multi)KeyLock covering every key in `ops`; precondition checks were
+  /// already done. Charges cpu_op_us ONCE for the batch plus each op's own
+  /// data/metadata costs — the server-side half of the batching win: k ops
+  /// in one envelope parse once, not k times.
   /// When `per_op_us` is non-null it must hold `count` entries and receives
   /// the CUMULATIVE service time after each op, so a caller modelling
   /// streamed execution can mark the instant each sub-op's work finished

@@ -25,8 +25,9 @@ constexpr std::uint64_t kChunk = 1ULL << 20;
 
 /// The reference store of the equivalence checks: chunk_bytes = 0 never
 /// stripes, so every op runs as one single-key leg (read_leg / stat_leg /
-/// mutation_leg) — an implementation independent of the batched striped
-/// path under test. It also covers the remove/truncate chunk_bytes == 0 guard.
+/// a plain mutation leg) — no chunk layout, no batch envelopes, no metadata
+/// cache, unlike the striped path under test. It also covers the
+/// remove/truncate chunk_bytes == 0 guard.
 StoreConfig unstriped_cfg() {
   StoreConfig cfg;
   cfg.chunk_bytes = 0;

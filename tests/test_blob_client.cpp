@@ -204,10 +204,8 @@ TEST_F(BlobClientTest, ServerStoresShippedChecksumWithoutRecomputing) {
   for (const auto& [key, sum] : {std::pair{std::string{"shipped-bad"}, right ^ 1},
                                  std::pair{std::string{"shipped-good"}, right}}) {
     auto lk = srv.lock_key(key);
-    ASSERT_TRUE(srv.apply_txn_ops(
-                       {{BlobServer::TxnOp::Kind::write, key, 0, as_view(data), 0, sum}},
-                       &svc)
-                    .ok());
+    const BlobServer::OpRef op{BlobServer::OpRef::Kind::write, &key, 0, as_view(data), 0, sum};
+    ASSERT_TRUE(srv.apply_ops(&op, 1, &svc).ok());
   }
   EXPECT_FALSE(srv.verify_key("shipped-bad").ok());
   EXPECT_TRUE(srv.verify_key("shipped-good").ok());
