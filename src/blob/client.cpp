@@ -612,9 +612,7 @@ Status BlobClient::mutation_group_leg(std::span<MutationSub* const> subs,
     const bool pre_exists = !primary.version_matches(sub.ekey, 0);
     bool exists = pre_exists;
     Status check = Status::success();
-    std::uint64_t payload = 0;
     for (const auto& op : sub.ops) {
-      payload += op.data.size();
       switch (op.kind) {
         case Kind::create:
           if (exists) check = {Errc::already_exists, sub.ekey};
@@ -644,8 +642,8 @@ Status BlobClient::mutation_group_leg(std::span<MutationSub* const> subs,
       }
       // Pay the failed round trip to the primary (the rejection itself is a
       // tiny, delivered reply — a faulted leg would surface below anyway).
-      const SimMicros done =
-          primary.node().serve(start + net.transfer_us(req_bytes(sub.ekey, payload)), 3);
+      const std::uint64_t sent = req_bytes(sub.ekey, payload_bytes(sub.ops));
+      const SimMicros done = primary.node().serve(start + net.transfer_us(sent), 3);
       *completion = done + net.transfer_us(kEnvelope);
       return check;
     }
@@ -797,8 +795,7 @@ Status BlobClient::mutation_group_leg(std::span<MutationSub* const> subs,
   std::vector<std::uint32_t> fwd_nodes;
   for (std::size_t i : run_idx) {
     for (std::uint32_t rid : st[i].place.replicas) {
-      if (rid != primary_id &&
-          std::find(fwd_nodes.begin(), fwd_nodes.end(), rid) == fwd_nodes.end()) {
+      if (rid != primary_id && std::ranges::find(fwd_nodes, rid) == fwd_nodes.end()) {
         fwd_nodes.push_back(rid);
       }
     }
