@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "common/hash.hpp"
 #include "spark/analytics.hpp"
 
 namespace bsc::spark {
@@ -45,6 +46,18 @@ TEST(Generators, EdgesShapeAndRange) {
     std::memcpy(&v, edges.data() + off, 4);
     EXPECT_LT(v, 1000u);
   }
+}
+
+// The generators build every Spark app's staged input, so their output is
+// part of the experiment: these literals were recorded from the released
+// generators and must never change.
+TEST(Generators, GoldenOutputsAreStable) {
+  EXPECT_EQ(content_checksum(as_view(generate_text(1, 10000))), 0x9676b13015e3c673ULL);
+  EXPECT_EQ(content_checksum(as_view(generate_text(42, 4097, 16))), 0xb7b552da21b0f73bULL);
+  EXPECT_EQ(content_checksum(as_view(generate_text(0x77, 1 << 20, 100000))), 0x35cc1cc9ac47054bULL);
+  EXPECT_EQ(content_checksum(as_view(generate_edges(4, 1000, 500))), 0x0c05d89796622b20ULL);
+  EXPECT_EQ(content_checksum(as_view(generate_edges(6, 1 << 16, 65536))), 0x05551cd41da618f0ULL);
+  EXPECT_EQ(content_checksum(as_view(generate_features(5, 100, 8))), 0x87d93c8bb4333af2ULL);
 }
 
 TEST(Generators, FeaturesShape) {

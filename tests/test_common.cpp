@@ -156,6 +156,75 @@ TEST(Payload, DeterministicAndOffsetConsistent) {
   EXPECT_FALSE(check_payload(10, 100, as_view(tail)));
 }
 
+// The payload stream is what staged inputs and app writes are made of, and
+// the census and fig3 experiments compare those bytes across runs: these
+// literals were recorded from the released generator and must never change.
+TEST(Payload, GoldenStreamIsStable) {
+  struct Case {
+    std::uint64_t seed;
+    std::uint64_t off;
+    std::size_t len;
+    std::uint64_t checksum;
+  };
+  const Case cases[] = {
+      // lengths 0-7 at an unaligned offset (5..7 cross a word boundary)
+      {0x5eed, 3, 0, 0xf771153c8f83af5aULL},
+      {0x5eed, 3, 1, 0x3866f5e86114b8e0ULL},
+      {0x5eed, 3, 2, 0x5288ac59d05366dfULL},
+      {0x5eed, 3, 3, 0x91af7626f83abd4bULL},
+      {0x5eed, 3, 4, 0x5acc44b4457b06e7ULL},
+      {0x5eed, 3, 5, 0x8506cd3fd4d9a9b4ULL},
+      {0x5eed, 3, 6, 0x348bb8665d4bfe35ULL},
+      {0x5eed, 3, 7, 0xc9cb0f7b070da79aULL},
+      // lengths 1-7 at an aligned offset
+      {0x5eed, 8, 1, 0x33abb9ce4e326ca4ULL},
+      {0x5eed, 8, 7, 0xd757d81e843e24acULL},
+      // head, whole words and tail
+      {9, 6, 4, 0x86c767efb2f38c96ULL},
+      {9, 7, 10, 0xa064b2051cf334a7ULL},
+      {9, 13, 27, 0x92748e3846b1b202ULL},
+      {9, 1, 69, 0xba5634aacef9fc3cULL},
+      {0xC0FFEE, (1ULL << 40) + 5, 100, 0xa806c00f46066654ULL},
+      // 1 MiB, aligned and unaligned
+      {42, 0, 1 << 20, 0xbe533912059eb759ULL},
+      {42, 12345, 1 << 20, 0x964a42cb1e6a01adULL},
+  };
+  for (const Case& c : cases) {
+    const Bytes p = make_payload(c.seed, c.off, c.len);
+    ASSERT_EQ(p.size(), c.len);
+    EXPECT_EQ(content_checksum(as_view(p)), c.checksum)
+        << "seed=" << c.seed << " off=" << c.off << " len=" << c.len;
+    EXPECT_TRUE(check_payload(c.seed, c.off, as_view(p)));
+  }
+}
+
+TEST(Payload, CheckRejectsOneFlippedByte) {
+  // [5, 45): a 3-byte head (5..7), four whole words (8..39), a 5-byte tail.
+  const Bytes good = make_payload(11, 5, 40);
+  ASSERT_TRUE(check_payload(11, 5, as_view(good)));
+  for (std::size_t at : {std::size_t{1}, std::size_t{10}, std::size_t{38}}) {
+    Bytes bad = good;
+    bad[at] ^= std::byte{0x01};
+    EXPECT_FALSE(check_payload(11, 5, as_view(bad))) << "flipped index " << at;
+  }
+}
+
+TEST(Zipf, GoldenSamplesAreStable) {
+  // 64 samples per exponent, packed little-endian and checksummed.
+  auto samples = [](double theta) {
+    Rng r(17);
+    Zipf z(4096, theta);
+    Bytes out(64 * 8);
+    for (std::size_t i = 0; i < 64; ++i) {
+      const std::uint64_t v = z.sample(r);
+      for (std::size_t b = 0; b < 8; ++b) out[i * 8 + b] = static_cast<std::byte>(v >> (8 * b));
+    }
+    return content_checksum(as_view(out));
+  };
+  EXPECT_EQ(samples(0.9), 0xa3fffe2786e93239ULL);
+  EXPECT_EQ(samples(0.99), 0x7020385476643551ULL);
+}
+
 TEST(Stats, SummaryMergeMatchesSingle) {
   StatSummary a;
   StatSummary b;
