@@ -46,11 +46,12 @@ Result<std::uint64_t> read_range(mpiio::MpiIo& io, vfs::FileHandle fh, std::uint
 /// Sequentially write [off, off+len) in `req`-sized calls of synthetic data.
 Status write_range(mpiio::MpiIo& io, vfs::FileHandle fh, std::uint64_t off,
                    std::uint64_t len, std::uint64_t req, std::uint64_t seed) {
+  Bytes chunk(std::min(req, len));
   std::uint64_t done = 0;
   while (done < len) {
-    const std::uint64_t n = std::min(req, len - done);
-    const Bytes chunk = make_payload(seed, off + done, n);
-    auto w = io.write_at(fh, off + done, as_view(chunk));
+    const MutableByteView piece(chunk.data(), std::min(req, len - done));
+    fill_payload(seed, off + done, piece);
+    auto w = io.write_at(fh, off + done, piece);
     if (!w.ok()) return w.error();
     done += w.value();
     io.ctx().charge(kComputePerReqUs);
@@ -171,6 +172,7 @@ Status run_mom(vfs::FileSystem& fs, sim::Cluster& cluster, const HpcAppSpec& spe
     if (!df.ok()) return df.error();
 
     const std::uint64_t fslice = forcing / (kSteps * spec.ranks);
+    Bytes chunk(per_dump_per_rank);
     std::uint64_t diag_off = 0;
     for (std::uint32_t step = 0; step < kSteps; ++step) {
       const std::uint64_t foff =
@@ -181,8 +183,7 @@ Status run_mom(vfs::FileSystem& fs, sim::Cluster& cluster, const HpcAppSpec& spe
       if ((step + 1) % kDiagInterval == 0) {
         // Collective write: contiguous per-rank slices, aggregated by the
         // MPI-IO layer into large sequential storage calls.
-        const Bytes chunk =
-            make_payload(seed ^ step, rank * per_dump_per_rank, per_dump_per_rank);
+        fill_payload(seed ^ step, rank * per_dump_per_rank, chunk);
         auto w = io.write_at_all(df.value(),
                                  diag_off + rank * per_dump_per_rank, as_view(chunk));
         if (!w.ok()) return w.error();

@@ -78,19 +78,26 @@ Bytes make_dataset(DataKind kind, std::uint64_t seed, std::uint64_t size) {
   return {};
 }
 
-Status provision_dataset(vfs::FileSystem& fs, const std::string& dir, DataKind kind,
-                         std::uint64_t total_bytes, std::uint32_t files,
+/// Generate the `files` parts of one dataset on `pool` (each part has its own
+/// seed, so they are independent), then write them in file order: the store
+/// sees the same call sequence whatever the pool size.
+Status provision_dataset(vfs::FileSystem& fs, ThreadPool& pool, const std::string& dir,
+                         DataKind kind, std::uint64_t total_bytes, std::uint32_t files,
                          std::uint64_t seed) {
   auto st = vfs::mkdir_recursive(fs, kProvisionCtx, dir);
   if (!st.ok()) return st;
   const std::uint64_t per_file = total_bytes / files;
-  for (std::uint32_t f = 0; f < files; ++f) {
+  std::vector<Bytes> parts(files);
+  pool.parallel_for(files, [&](std::size_t f) {
     const std::uint64_t size = f + 1 == files ? total_bytes - per_file * (files - 1)
                                               : per_file;
-    const Bytes data = make_dataset(kind, seed ^ f, size);
+    parts[f] = make_dataset(kind, seed ^ f, size);
+  });
+  for (std::uint32_t f = 0; f < files; ++f) {
     st = vfs::write_file(fs, kProvisionCtx, strfmt("%s/part-%05u", dir.c_str(), f),
-                         as_view(data), 1 << 20);
+                         as_view(parts[f]), 1 << 20);
     if (!st.ok()) return st;
+    parts[f] = Bytes();  // stored now; release it before the next write
   }
   return Status::success();
 }
@@ -156,11 +163,12 @@ Status write_part_task(spark::TaskContext& tc, const std::string& path,
                        std::uint64_t bytes, std::uint64_t req, std::uint64_t seed) {
   auto fh = tc.fs->open(tc.io, path, vfs::OpenFlags::wr());
   if (!fh.ok()) return fh.error();
+  Bytes chunk(std::min(req, bytes));
   std::uint64_t done = 0;
   while (done < bytes) {
-    const std::uint64_t n = std::min(req, bytes - done);
-    const Bytes chunk = make_payload(seed, done, n);
-    auto w = tc.fs->write(tc.io, fh.value(), done, as_view(chunk));
+    const MutableByteView piece(chunk.data(), std::min(req, bytes - done));
+    fill_payload(seed, done, piece);
+    auto w = tc.fs->write(tc.io, fh.value(), done, piece);
     if (!w.ok()) {
       (void)tc.fs->close(tc.io, fh.value());
       return w.error();
@@ -214,8 +222,8 @@ Status drive_app(SparkAppKind kind, spark::SparkApp& app, spark::SparkCluster& s
   return app.finish(driver);
 }
 
-Status provision_all(vfs::FileSystem& fs, const std::vector<SparkAppKind>& kinds,
-                     std::uint64_t seed) {
+Status provision_all(vfs::FileSystem& fs, ThreadPool& pool,
+                     const std::vector<SparkAppKind>& kinds, std::uint64_t seed) {
   // Platform provisioning, outside the traced application activity: the
   // user's home chain, the input datasets, and the output roots.
   auto st = vfs::mkdir_recursive(fs, kProvisionCtx, "/user/spark");
@@ -228,14 +236,14 @@ Status provision_all(vfs::FileSystem& fs, const std::vector<SparkAppKind>& kinds
     const std::string in = input_dir(k);
     if (in == "/input/text") {
       if (!text_done) {
-        st = provision_dataset(fs, in, DataKind::text, spec.input_total / spec.passes, 8,
-                               seed ^ 0x77);
+        st = provision_dataset(fs, pool, in, DataKind::text,
+                               spec.input_total / spec.passes, 8, seed ^ 0x77);
         if (!st.ok()) return st;
         text_done = true;
       }
     } else {
-      st = provision_dataset(fs, in, data_kind_of(k), spec.input_total / spec.passes, 4,
-                             seed ^ static_cast<std::uint64_t>(k));
+      st = provision_dataset(fs, pool, in, data_kind_of(k), spec.input_total / spec.passes,
+                             4, seed ^ static_cast<std::uint64_t>(k));
       if (!st.ok()) return st;
     }
     st = vfs::mkdir_recursive(fs, kProvisionCtx, output_dir(k));
@@ -256,7 +264,7 @@ SparkSuiteResult run_suite_impl(const std::vector<SparkAppKind>& kinds,
                                 vfs::FileSystem& backing_fs, sim::Cluster& cluster,
                                 ThreadPool& pool, const SparkSuiteOptions& opts) {
   SparkSuiteResult result;
-  auto st = provision_all(backing_fs, kinds, opts.seed);
+  auto st = provision_all(backing_fs, pool, kinds, opts.seed);
   if (!st.ok()) {
     result.error = "provisioning: " + st.message();
     return result;

@@ -1,6 +1,9 @@
 #include "common/rng.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "common/hash.hpp"
 
@@ -77,6 +80,7 @@ Zipf::Zipf(std::uint64_t n, double theta) : n_(n ? n : 1), theta_(theta) {
   for (std::uint64_t i = 1; i <= n_; ++i) zetan_ += 1.0 / std::pow(static_cast<double>(i), theta_);
   double zeta2 = 1.0 + 1.0 / std::pow(2.0, theta_);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) / (1.0 - zeta2 / zetan_);
+  rank1_cut_ = 1.0 + std::pow(0.5, theta_);
 }
 
 std::uint64_t Zipf::sample(Rng& rng) const noexcept {
@@ -84,26 +88,72 @@ std::uint64_t Zipf::sample(Rng& rng) const noexcept {
   const double u = rng.next_double();
   const double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < rank1_cut_) return 1;
   auto v = static_cast<std::uint64_t>(
       static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   return v >= n_ ? n_ - 1 : v;
 }
 
+namespace {
+
+std::uint64_t payload_word(std::uint64_t seed, std::uint64_t word) noexcept {
+  return mix64(hash_combine(seed, word));
+}
+
+void store_le(std::byte* dst, std::uint64_t v) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, &v, 8);
+  } else {
+    for (int k = 0; k < 8; ++k) dst[k] = static_cast<std::byte>(v >> (8 * k));
+  }
+}
+
+std::uint64_t load_le(const std::byte* src) noexcept {
+  std::uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, src, 8);
+  } else {
+    for (int k = 0; k < 8; ++k) v |= static_cast<std::uint64_t>(src[k]) << (8 * k);
+  }
+  return v;
+}
+
+/// Bytes from `offset` up to the next word boundary, capped at `len`.
+std::size_t head_len(std::uint64_t offset, std::size_t len) noexcept {
+  return std::min<std::size_t>((8 - (offset & 7)) & 7, len);
+}
+
+}  // namespace
+
 std::byte payload_byte(std::uint64_t seed, std::uint64_t off) noexcept {
-  // One mix per 8-byte word; cheap enough to generate payloads at line rate.
-  const std::uint64_t word = mix64(hash_combine(seed, off >> 3));
-  return static_cast<std::byte>((word >> ((off & 7) * 8)) & 0xff);
+  // Byte k of word off/8, counted from the least significant end.
+  return static_cast<std::byte>((payload_word(seed, off >> 3) >> ((off & 7) * 8)) & 0xff);
+}
+
+void fill_payload(std::uint64_t seed, std::uint64_t offset, MutableByteView out) noexcept {
+  const std::size_t len = out.size();
+  std::size_t i = head_len(offset, len);
+  for (std::size_t h = 0; h < i; ++h) out[h] = payload_byte(seed, offset + h);
+  for (; i + 8 <= len; i += 8) store_le(out.data() + i, payload_word(seed, (offset + i) >> 3));
+  for (; i < len; ++i) out[i] = payload_byte(seed, offset + i);
 }
 
 Bytes make_payload(std::uint64_t seed, std::uint64_t offset, std::size_t len) {
   Bytes out(len);
-  for (std::size_t i = 0; i < len; ++i) out[i] = payload_byte(seed, offset + i);
+  fill_payload(seed, offset, out);
   return out;
 }
 
 bool check_payload(std::uint64_t seed, std::uint64_t offset, ByteView data) noexcept {
-  for (std::size_t i = 0; i < data.size(); ++i) {
+  const std::size_t len = data.size();
+  std::size_t i = head_len(offset, len);
+  for (std::size_t h = 0; h < i; ++h) {
+    if (data[h] != payload_byte(seed, offset + h)) return false;
+  }
+  for (; i + 8 <= len; i += 8) {
+    if (load_le(data.data() + i) != payload_word(seed, (offset + i) >> 3)) return false;
+  }
+  for (; i < len; ++i) {
     if (data[i] != payload_byte(seed, offset + i)) return false;
   }
   return true;

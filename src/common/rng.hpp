@@ -58,11 +58,23 @@ class Zipf {
   double alpha_;
   double zetan_;
   double eta_;
+  double rank1_cut_;  ///< 1 + 0.5^theta: u * zetan below it samples rank 1
 };
 
-/// Deterministic payload: the byte at absolute offset `off` of stream `seed`.
-/// Lets tests verify multi-gigabyte-scale reads without storing expected data.
+// Deterministic payload stream. Lets tests verify multi-gigabyte-scale reads
+// without storing expected data, and gives the workload models their bytes.
+//
+// Layout: the stream is a sequence of 8-byte words; word w covers absolute
+// offsets [8w, 8w+8) and its value is mix64(hash_combine(seed, w)). Inside a
+// word the bytes are little-endian — offset 8w+k holds bits [8k, 8k+8) — on
+// every host, so a stream reads the same wherever it was generated.
+
+/// The byte at absolute offset `off` of stream `seed`.
 [[nodiscard]] std::byte payload_byte(std::uint64_t seed, std::uint64_t off) noexcept;
+
+/// Fill `out` with [offset, offset+out.size()) of stream `seed`: the unaligned
+/// head and tail byte by byte, the whole words between with one mix each.
+void fill_payload(std::uint64_t seed, std::uint64_t offset, MutableByteView out) noexcept;
 
 /// Materialize [offset, offset+len) of the deterministic payload stream.
 [[nodiscard]] Bytes make_payload(std::uint64_t seed, std::uint64_t offset, std::size_t len);

@@ -1,27 +1,25 @@
 #include "spark/analytics.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
-
-#include "common/strings.hpp"
 
 namespace bsc::spark {
 
 Bytes generate_text(std::uint64_t seed, std::uint64_t bytes, std::uint32_t vocabulary) {
   Rng rng(seed);
   Zipf zipf(vocabulary, 0.9);  // natural-ish word frequency skew
-  Bytes out;
-  out.reserve(bytes);
-  while (out.size() < bytes) {
+  Bytes out(bytes);
+  char word[24] = {'w'};  // "w" + up to 20 decimal digits
+  std::uint64_t pos = 0;
+  while (pos < bytes) {
     const std::uint64_t word_id = zipf.sample(rng);
-    const std::string word = strfmt("w%llu", static_cast<unsigned long long>(word_id));
-    for (char c : word) {
-      if (out.size() >= bytes) break;
-      out.push_back(static_cast<std::byte>(c));
-    }
-    if (out.size() < bytes) {
-      out.push_back(static_cast<std::byte>(rng.chance(0.1) ? '\n' : ' '));
-    }
+    const char* end = std::to_chars(word + 1, word + sizeof(word), word_id).ptr;
+    // A word that reaches the end is cut there, with no separator after it.
+    const auto n = std::min<std::uint64_t>(static_cast<std::uint64_t>(end - word), bytes - pos);
+    std::memcpy(out.data() + pos, word, n);
+    pos += n;
+    if (pos < bytes) out[pos++] = static_cast<std::byte>(rng.chance(0.1) ? '\n' : ' ');
   }
   return out;
 }

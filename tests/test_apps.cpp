@@ -2,13 +2,17 @@
 // volumes and the call-mix regime the paper reports.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "adapter/blobfs.hpp"
 #include "apps/app_spec.hpp"
 #include "apps/hpc_apps.hpp"
 #include "apps/spark_apps.hpp"
+#include "common/hash.hpp"
 #include "hdfs/hdfs.hpp"
 #include "pfs/pfs.hpp"
 #include "trace/report.hpp"
+#include "vfs/helpers.hpp"
 
 namespace bsc::apps {
 namespace {
@@ -163,6 +167,56 @@ TEST(SparkApps, IterativeAppReadsInputPerPass) {
   EXPECT_LT(r.per_app[0].census.bytes_read, spec.input_total * 11 / 10);
   // Still exactly ONE input listing (Spark caches the file list).
   EXPECT_EQ(r.dir_ops.opendir_input, 1u);
+}
+
+struct SuiteInputs {
+  std::vector<trace::AppCensus> per_app;
+  std::map<std::string, std::uint64_t> parts;  ///< /input/*/part-* -> content checksum
+};
+
+SuiteInputs run_suite_on_pool(std::size_t threads) {
+  sim::Cluster cluster;
+  hdfs::HdfsLikeFs fs(cluster);
+  ThreadPool pool(threads);
+  const auto r = run_spark_suite(fs, cluster, pool);
+  EXPECT_TRUE(r.ok) << r.error;
+  SuiteInputs out{r.per_app, {}};
+  const vfs::IoCtx ctx{nullptr, 1000, 1000};
+  auto dirs = fs.readdir(ctx, "/input");
+  EXPECT_TRUE(dirs.ok());
+  if (!dirs.ok()) return out;
+  for (const auto& d : dirs.value()) {
+    const std::string dir = "/input/" + d.name;
+    auto files = fs.readdir(ctx, dir);
+    EXPECT_TRUE(files.ok()) << dir;
+    if (!files.ok()) continue;
+    for (const auto& f : files.value()) {
+      if (f.name.rfind("part-", 0) != 0) continue;
+      const std::string path = dir + "/" + f.name;
+      auto data = vfs::read_file(fs, ctx, path);
+      EXPECT_TRUE(data.ok()) << path;
+      if (data.ok()) out.parts[path] = content_checksum(as_view(data.value()));
+    }
+  }
+  return out;
+}
+
+// Provisioning generates the dataset parts on the suite's pool; the bytes
+// staged and the calls the apps then issue must not depend on its size.
+TEST(SparkApps, ProvisioningIsIndependentOfPoolSize) {
+  const SuiteInputs one = run_suite_on_pool(1);
+  const SuiteInputs four = run_suite_on_pool(4);
+  // sort, dt, cc: 4 parts each; the shared text corpus: 8.
+  EXPECT_EQ(one.parts.size(), 20u);
+  EXPECT_EQ(one.parts, four.parts);
+  ASSERT_EQ(one.per_app.size(), four.per_app.size());
+  for (std::size_t i = 0; i < one.per_app.size(); ++i) {
+    const auto& a = one.per_app[i].census;
+    const auto& b = four.per_app[i].census;
+    EXPECT_EQ(a.op_counts, b.op_counts) << one.per_app[i].name;
+    EXPECT_EQ(a.bytes_read, b.bytes_read) << one.per_app[i].name;
+    EXPECT_EQ(a.bytes_written, b.bytes_written) << one.per_app[i].name;
+  }
 }
 
 TEST(HpcAppNames, Stable) {
