@@ -273,7 +273,7 @@ BENCHMARK(BM_RingLocate);
 void BM_EngineCompaction(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
-    blob::StorageEngine engine(blob::EngineConfig{.segment_bytes = 1 << 20});
+    blob::StorageEngine engine;
     Rng rng(7);
     const Bytes data = make_payload(4, 0, 8192);
     for (int i = 0; i < 2000; ++i) {

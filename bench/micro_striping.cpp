@@ -1,6 +1,6 @@
 // Ablation benches for the layout design choices DESIGN.md calls out:
-// PFS stripe size, BlobFs chunk size, and the blob engine's segment size /
-// compaction threshold — measured as simulated time for a fixed workload.
+// PFS stripe size, BlobFs chunk size, and the blob engine's compaction
+// threshold — measured as simulated time for a fixed workload.
 #include <benchmark/benchmark.h>
 
 #include "adapter/blobfs.hpp"
@@ -85,29 +85,11 @@ void BM_QuorumStripedRead(benchmark::State& state) {
 }
 BENCHMARK(BM_QuorumStripedRead);
 
-void BM_EngineSegmentSize(benchmark::State& state) {
-  const auto seg = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    blob::StorageEngine engine(blob::EngineConfig{.segment_bytes = seg});
-    Rng rng(1);
-    const Bytes data = make_payload(2, 0, 8192);
-    for (int i = 0; i < 3000; ++i) {
-      benchmark::DoNotOptimize(
-          engine.write(strfmt("o-%d", i % 40), rng.next_below(1 << 16), as_view(data), true)
-              .ok());
-    }
-    if (engine.needs_compaction()) benchmark::DoNotOptimize(engine.compact());
-  }
-  state.SetLabel(strfmt("segment=%lluKiB", static_cast<unsigned long long>(seg / 1024)));
-}
-BENCHMARK(BM_EngineSegmentSize)->Arg(256 << 10)->Arg(1 << 20)->Arg(8 << 20);
-
 void BM_CompactionThreshold(benchmark::State& state) {
   const double ratio = static_cast<double>(state.range(0)) / 100.0;
   std::uint64_t compactions = 0;
   for (auto _ : state) {
-    blob::StorageEngine engine(
-        blob::EngineConfig{.segment_bytes = 1 << 20, .compact_dead_ratio = ratio});
+    blob::StorageEngine engine(blob::EngineConfig{.compact_dead_ratio = ratio});
     Rng rng(1);
     const Bytes data = make_payload(3, 0, 4096);
     for (int i = 0; i < 5000; ++i) {

@@ -36,13 +36,16 @@ std::uint64_t batch_header_bytes(std::string_view first_key, rpc::BatchOpKind ki
   return rpc::wire_size(op);
 }
 
-/// The write op of every client mutation path: `slice` ships by view (no
-/// payload copy) with its content checksum computed here, once, so replicas
-/// store the sender's checksum instead of re-hashing the bytes. A mutation
-/// leg points `key` at its sub's engine key itself.
+/// The write op of every client mutation path: the one copy of `slice`,
+/// into an immutable buffer that every replica's engine then references,
+/// with its content checksum computed here, once, so replicas store the
+/// sender's checksum instead of re-hashing the bytes. A mutation leg points
+/// `key` at its sub's engine key itself.
 BlobServer::OpRef write_op(std::uint64_t offset, ByteView slice,
                            const std::string* key = nullptr) {
-  return {BlobServer::OpRef::Kind::write, key, offset, slice, 0, content_checksum(slice)};
+  SharedBytes data = SharedBytes::copy_of(slice);
+  const std::uint64_t checksum = content_checksum(data.view);
+  return {BlobServer::OpRef::Kind::write, key, offset, std::move(data), 0, checksum};
 }
 
 /// Wire bytes of one per-sub status in a batch reply (payload excluded).
@@ -2131,10 +2134,9 @@ BlobTransaction BlobClient::begin_transaction() { return BlobTransaction(*this);
 
 BlobTransaction& BlobTransaction::write(std::string_view key, std::uint64_t offset,
                                         ByteView data) {
-  // The one copy of the caller's bytes (they may change or die before
-  // commit); every server's apply views it.
-  const Bytes& owned = payloads_.emplace_back(data.begin(), data.end());
-  ops_.push_back(write_op(offset, as_view(owned), &keys_.emplace_back(key)));
+  // write_op makes the one copy of the caller's bytes (they may change or
+  // die before commit); every server's engine references it.
+  ops_.push_back(write_op(offset, data, &keys_.emplace_back(key)));
   return *this;
 }
 
@@ -2173,8 +2175,8 @@ Status BlobTransaction::commit() {
   const std::uint32_t W = store.config().write_quorum;
 
   // Involved servers (ascending id): every replica of every touched key.
-  // Each server's batch copies the transaction's op views, never a key or
-  // payload.
+  // Each server's batch copies the transaction's ops, which share their key
+  // and payload buffer, never copy them.
   std::map<std::uint32_t, std::vector<BlobServer::OpRef>> per_server;
   std::uint64_t payload = 0;
   for (const auto& op : ops_) {

@@ -301,7 +301,7 @@ class BlobClient {
   struct MutationSub {
     std::string ekey;
     std::uint64_t chunk = 0;            ///< chunk index (grouping / coalescing)
-    std::vector<BlobServer::OpRef> ops; ///< view the caller's buffers, no copy
+    std::vector<BlobServer::OpRef> ops; ///< share their payload buffers, no copy
     bool chunk_sub = false;
     // Results (filled by mutation_group_leg), observed under the leg's own
     // lock round — one version exchange, no extra stat round. Striped ops
@@ -420,7 +420,7 @@ class BlobClient {
 class BlobTransaction {
  public:
   explicit BlobTransaction(BlobClient& client) : client_(&client) {}
-  // ops_ views keys_ and payloads_: a copy would view the source's.
+  // ops_ points into keys_: a copy would point into the source's.
   BlobTransaction(const BlobTransaction&) = delete;
   BlobTransaction& operator=(const BlobTransaction&) = delete;
   BlobTransaction(BlobTransaction&&) = default;
@@ -443,10 +443,10 @@ class BlobTransaction {
 
  private:
   BlobClient* client_;
-  /// Owned copies of each op's key and each write()'s bytes; ops_ views
-  /// them (deque elements never move, not even when the deque does).
+  /// Owned copies of each op's key; ops_ points into them (deque elements
+  /// never move, not even when the deque does). Each write op owns its
+  /// payload buffer, captured at write().
   std::deque<std::string> keys_;
-  std::deque<Bytes> payloads_;
   std::vector<BlobServer::OpRef> ops_;
   std::vector<std::pair<std::string, Version>> preconditions_;
 };

@@ -194,36 +194,12 @@ SimMicros BlobServer::svc_read(const std::string& key, std::uint64_t obj_size,
          static_cast<SimMicros>(extents_touched - 1) * (dp.rotational_us / 2);
 }
 
-Status BlobServer::create(const std::string& key, SimMicros* service_us) {
-  OpPublisher pub(server_metrics().create, service_us);
-  KeyLock lk = lock_key(key);
-  *service_us = svc_metadata();
-  return engine_.create(key);
-}
-
 Status BlobServer::remove(const std::string& key, SimMicros* service_us) {
   OpPublisher pub(server_metrics().remove, service_us);
   KeyLock lk = lock_key(key);
   *service_us = svc_metadata();
   node_->cache().invalidate(fnv1a64(key));
   return engine_.remove(key);
-}
-
-Result<WriteOutcome> BlobServer::write(const std::string& key, std::uint64_t off,
-                                       ByteView data, bool create_if_missing,
-                                       SimMicros* service_us) {
-  OpPublisher pub(server_metrics().write, service_us);
-  KeyLock lk = lock_key(key);
-  auto r = engine_.write(key, off, data, create_if_missing);
-  SimMicros t = costs_.cpu_op_us + svc_bytes_cpu(data.size());
-  if (r.ok()) {
-    // Log-structured append: sequential disk write; write-through cache.
-    t += node_->disk().service_us(data.size(), /*sequential=*/true);
-    node_->cache().touch_write(fnv1a64(key), r.value().size);
-    server_metrics().write_bytes.add(data.size());
-  }
-  *service_us = t;
-  return r;
 }
 
 Result<ReadOutcome> BlobServer::read(const std::string& key, std::uint64_t off,
@@ -297,14 +273,6 @@ void BlobServer::read_batch(const ReadSubOp* subs, std::size_t count,
     if (per_op_us) per_op_us[i] = t;
   }
   *service_us = t;
-}
-
-Result<Version> BlobServer::truncate(const std::string& key, std::uint64_t new_size,
-                                     SimMicros* service_us) {
-  OpPublisher pub(server_metrics().truncate, service_us);
-  KeyLock lk = lock_key(key);
-  *service_us = svc_metadata();
-  return engine_.truncate(key, new_size);
 }
 
 Result<std::uint64_t> BlobServer::size(const std::string& key, SimMicros* service_us) {

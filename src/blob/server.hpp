@@ -87,10 +87,7 @@ class BlobServer {
   // Each operation applies to the in-memory engine and reports the simulated
   // service time in *service_us.
 
-  Status create(const std::string& key, SimMicros* service_us);
   Status remove(const std::string& key, SimMicros* service_us);
-  Result<WriteOutcome> write(const std::string& key, std::uint64_t off, ByteView data,
-                             bool create_if_missing, SimMicros* service_us);
   Result<ReadOutcome> read(const std::string& key, std::uint64_t off, std::uint64_t len,
                            SimMicros* service_us);
 
@@ -140,30 +137,27 @@ class BlobServer {
   /// mirroring apply_ops.
   void read_batch(const ReadSubOp* subs, std::size_t count, ReadSubResult* results,
                   SimMicros* service_us, SimMicros* per_op_us = nullptr);
-  Result<Version> truncate(const std::string& key, std::uint64_t new_size,
-                           SimMicros* service_us);
   Result<std::uint64_t> size(const std::string& key, SimMicros* service_us);
   Result<BlobStat> stat(const std::string& key, SimMicros* service_us);
   std::vector<BlobStat> scan(const std::string& prefix, SimMicros* service_us);
 
-  /// Zero-copy view of one mutation op: the client's mutation legs and
-  /// transaction commit reference the sender's key and buffer slices
-  /// directly instead of copying an op per leg or per server. `key` and
-  /// `data` must outlive the apply.
+  /// One mutation op as the client's mutation legs and transaction commit
+  /// ship it: `key` points at the sender's key (it must outlive the apply),
+  /// and a write's payload is the one immutable buffer the sender built.
+  /// Every replica and dual-write target stores a reference to that buffer,
+  /// so an R-way write copies its bytes once, not R times.
   struct OpRef {
     enum class Kind { write, truncate, create, remove, grow } kind;
     const std::string* key = nullptr;
     std::uint64_t offset = 0;
-    /// Write payload, shipped as an iovec slice — never copied per leg or
-    /// per replica.
-    ByteView data{};
+    SharedBytes data{};           ///< write payload
     std::uint64_t new_size = 0;   ///< truncate target / grow minimum size
     /// content_checksum(data), computed once by the sender and stored as-is
     /// by every replica (0 = none: the engine computes it).
     std::uint64_t checksum = 0;
   };
 
-  /// Apply a batch of op views; every client mutation and transaction
+  /// Apply a batch of ops; every client mutation and transaction
   /// commit lands here. The caller holds either lock_exclusive() or a
   /// (Multi)KeyLock covering every key in `ops`; precondition checks were
   /// already done. Charges cpu_op_us ONCE for the batch plus each op's own

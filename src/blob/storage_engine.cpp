@@ -1,8 +1,10 @@
 #include "blob/storage_engine.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <unordered_set>
 #include <utility>
 
 #include "common/hash.hpp"
@@ -57,7 +59,6 @@ StorageEngine::StorageEngine(EngineConfig cfg)
 StorageEngine::StorageEngine(StorageEngine&& other) noexcept
     : cfg_(other.cfg_),
       shards_(std::move(other.shards_)),
-      warm_slots_(other.warm_slots_.load()),
       journal_(std::exchange(other.journal_, nullptr)) {}
 
 StorageEngine& StorageEngine::operator=(StorageEngine&& other) noexcept {
@@ -72,14 +73,9 @@ StorageEngine& StorageEngine::operator=(StorageEngine&& other) noexcept {
     std::scoped_lock lk(dst.mu);
     dst.objects.swap(src.objects);
     dst.removed_floors.swap(src.removed_floors);
-    dst.segments.swap(src.segments);
-    std::swap(dst.active, src.active);
-    dst.seg_live.swap(src.seg_live);
-    dst.free_slots.swap(src.free_slots);
     std::swap(dst.live_bytes, src.live_bytes);
     std::swap(dst.dead_bytes, src.dead_bytes);
   }
-  warm_slots_ = other.warm_slots_.exchange(warm_slots_.load());
   journal_ = std::exchange(other.journal_, nullptr);
   return *this;
 }
@@ -135,7 +131,7 @@ Status StorageEngine::remove_locked(Shard& s, const std::string& key) {
   // Keep the dead object's version as a floor so a recreation continues the
   // sequence — see the header for why freshest-wins repair depends on this.
   s.removed_floors[key] = it->second.version;
-  for (const auto& e : it->second.extents) retire_bytes(s, e.segment, e.len);
+  for (const auto& e : it->second.extents) retire_bytes(s, e.len);
   s.objects.erase(it);
   engine_metrics().removes.inc();
   return journal_append({.op = persist::WalOp::remove, .key = key});
@@ -147,66 +143,9 @@ bool StorageEngine::contains(const std::string& key) const {
   return s.objects.count(key) != 0;
 }
 
-std::pair<std::uint32_t, std::uint64_t> StorageEngine::append_to_log(Shard& s,
-                                                                     ByteView data) {
-  if (s.segments.empty()) {
-    s.segments.emplace_back();
-    s.seg_live.push_back(0);
-    s.active = 0;
-  } else if (s.segments[s.active].size() + data.size() > cfg_.segment_bytes &&
-             !s.segments[s.active].empty()) {
-    // Seal the active segment and open a fresh one. Prefer a recycled
-    // fully-dead slot: its buffer's pages are already faulted in, and cold
-    // first-touch faults — not the copy itself — dominate append cost on a
-    // log that only ever grows (steady-state overwrite workloads retire
-    // whole segments continuously).
-    const std::uint32_t sealed = s.active;
-    if (!s.free_slots.empty()) {
-      s.active = s.free_slots.back();
-      s.free_slots.pop_back();
-      if (s.segments[s.active].capacity() != 0) --warm_slots_;
-    } else {
-      s.segments.emplace_back();
-      s.seg_live.push_back(0);
-      s.active = static_cast<std::uint32_t>(s.segments.size() - 1);
-    }
-    maybe_recycle(s, sealed);  // a sealed segment can already be fully dead
-  }
-  Bytes& seg = s.segments[s.active];
-  if (seg.empty() && data.size() >= (64u << 10) && data.size() < cfg_.segment_bytes) {
-    // Large-write workloads fill the segment in a handful of appends;
-    // reserving the full segment up front avoids the doubling reallocations
-    // (and their copy passes) on the hot write path. Small-object engines
-    // never trigger this, so they keep their proportional footprint.
-    seg.reserve(cfg_.segment_bytes);
-  }
-  const std::uint64_t seg_off = seg.size();
-  append(seg, data);
-  s.seg_live[s.active] += data.size();
-  return {s.active, seg_off};
-}
-
-void StorageEngine::retire_bytes(Shard& s, std::uint32_t segment, std::uint64_t n) {
+void StorageEngine::retire_bytes(Shard& s, std::uint64_t n) noexcept {
   s.live_bytes -= n;
   s.dead_bytes += n;
-  s.seg_live[segment] -= n;
-  maybe_recycle(s, segment);
-}
-
-void StorageEngine::maybe_recycle(Shard& s, std::uint32_t segment) {
-  if (segment == s.active || s.seg_live[segment] != 0 || s.segments[segment].empty()) {
-    return;
-  }
-  // Every byte in the segment is dead: no live extent references it, so the
-  // buffer can be reused wholesale. clear() keeps the capacity (warm pages);
-  // past kWarmSlots engine-wide the memory is returned and only the slot is
-  // recycled.
-  s.segments[segment].clear();
-  if (warm_slots_++ >= kWarmSlots) {
-    --warm_slots_;
-    Bytes().swap(s.segments[segment]);
-  }
-  s.free_slots.push_back(segment);
 }
 
 void StorageEngine::supersede_range(Shard& s, ObjectRec& rec, std::uint64_t off,
@@ -214,45 +153,43 @@ void StorageEngine::supersede_range(Shard& s, ObjectRec& rec, std::uint64_t off,
   const std::uint64_t end = off + len;
   std::vector<Extent> kept;
   kept.reserve(rec.extents.size() + 2);
-  for (const Extent& e : rec.extents) {
+  // Extents move, not copy: only a split (left and right slices on one
+  // buffer) pays a refcount bump.
+  for (Extent& e : rec.extents) {
     const std::uint64_t e_end = e.log_off + e.len;
     if (e_end <= off || e.log_off >= end) {
-      kept.push_back(e);
+      kept.push_back(std::move(e));
       continue;
     }
     // Overlap: keep the non-overlapping left/right slices, kill the middle.
-    std::uint64_t killed = std::min(e_end, end) - std::max(e.log_off, off);
-    retire_bytes(s, e.segment, killed);
+    retire_bytes(s, std::min(e_end, end) - std::max(e.log_off, off));
+    e.checksum = 0;  // partial extents lose their whole-extent checksum
+    const bool has_right = e_end > end;
     if (e.log_off < off) {
-      Extent left = e;
-      left.len = off - e.log_off;
-      left.checksum = 0;  // partial extents lose their whole-extent checksum
-      kept.push_back(left);
+      Extent& left = has_right ? kept.emplace_back(e) : kept.emplace_back(std::move(e));
+      left.len = off - left.log_off;
     }
-    if (e_end > end) {
-      Extent right = e;
-      const std::uint64_t skip = end - e.log_off;
+    if (has_right) {
+      Extent& right = kept.emplace_back(std::move(e));
+      right.buf_off += end - right.log_off;
       right.log_off = end;
-      right.seg_off = e.seg_off + skip;
       right.len = e_end - end;
-      right.checksum = 0;
-      kept.push_back(right);
     }
   }
   rec.extents = std::move(kept);
 }
 
 Result<WriteOutcome> StorageEngine::write(const std::string& key, std::uint64_t offset,
-                                          ByteView data, bool create_if_missing,
+                                          SharedBytes data, bool create_if_missing,
                                           std::uint64_t checksum) {
   if (key.empty()) return {Errc::invalid_argument, "empty blob key"};
   Shard& s = shard(key);
   auto lk = lock(s);
-  return write_locked(s, key, offset, data, create_if_missing, checksum);
+  return write_locked(s, key, offset, std::move(data), create_if_missing, checksum);
 }
 
 Result<WriteOutcome> StorageEngine::write_locked(Shard& s, const std::string& key,
-                                                 std::uint64_t offset, ByteView data,
+                                                 std::uint64_t offset, SharedBytes data,
                                                  bool create_if_missing,
                                                  std::uint64_t checksum) {
   auto it = s.objects.find(key);
@@ -262,40 +199,31 @@ Result<WriteOutcome> StorageEngine::write_locked(Shard& s, const std::string& ke
     it->second.version = take_floor(s, key);  // ++ below lands at floor + 1
   }
   ObjectRec& rec = it->second;
-  if (!data.empty()) {
-    // In-place fast path: a write that exactly replaces one existing extent
-    // overwrites its segment bytes directly. Extents never overlap, so an
-    // exact match means no other extent touches the range — no supersede or
-    // append churn, no dead-byte growth, and under steady-state full-chunk
-    // overwrites (the striped-write pattern) the destination stays
-    // cache-warm instead of streaming into a fresh cold slot every round.
-    bool in_place = false;
-    for (Extent& e : rec.extents) {
-      if (e.log_off > offset) break;  // sorted by log_off: no match possible
-      if (e.log_off == offset && e.len == data.size()) {
-        Bytes& seg = s.segments[e.segment];
-        std::copy(data.begin(), data.end(),
-                  seg.begin() + static_cast<std::ptrdiff_t>(e.seg_off));
-        e.checksum = checksum != 0 ? checksum : content_checksum(data);
-        in_place = true;
-        break;
-      }
-    }
-    if (!in_place) {
-      supersede_range(s, rec, offset, data.size());
-      auto [seg, seg_off] = append_to_log(s, data);
-      Extent e{.log_off = offset, .segment = seg, .seg_off = seg_off,
-               .len = data.size(),
-               .checksum = checksum != 0 ? checksum : content_checksum(data)};
-      auto pos = std::lower_bound(rec.extents.begin(), rec.extents.end(), e,
-                                  [](const Extent& a, const Extent& b) {
-                                    return a.log_off < b.log_off;
-                                  });
-      rec.extents.insert(pos, e);
-      s.live_bytes += data.size();
+  // The extent below keeps `data`'s buffer alive, so this view stays valid.
+  const ByteView bytes = data.view;
+  if (!bytes.empty()) {
+    if (checksum == 0) checksum = content_checksum(bytes);
+    const auto at = [&rec](std::uint64_t off) {
+      return std::ranges::lower_bound(rec.extents, off, {}, &Extent::log_off);
+    };
+    // A write that exactly replaces one existing extent swaps in the new
+    // buffer. Extents never overlap, so an exact match means no other extent
+    // touches the range: no supersede, and the old bytes are dropped rather
+    // than counted dead — under steady-state full-chunk overwrites (the
+    // striped-write pattern) dead bytes do not grow.
+    auto pos = at(offset);
+    if (pos != rec.extents.end() && pos->log_off == offset && pos->len == bytes.size()) {
+      pos->buf = std::move(data);
+      pos->buf_off = 0;
+      pos->checksum = checksum;
+    } else {
+      supersede_range(s, rec, offset, bytes.size());
+      rec.extents.insert(at(offset), Extent{.log_off = offset, .len = bytes.size(),
+                                            .checksum = checksum, .buf = std::move(data)});
+      s.live_bytes += bytes.size();
     }
   }
-  rec.length = std::max(rec.length, offset + data.size());
+  rec.length = std::max(rec.length, offset + bytes.size());
   ++rec.version;
   if (journal_ != nullptr) {
     // The WAL record owns a copy of the payload; constructing it with no
@@ -304,12 +232,12 @@ Result<WriteOutcome> StorageEngine::write_locked(Shard& s, const std::string& ke
                                .key = key,
                                .offset = offset,
                                .create_if_missing = create_if_missing,
-                               .data = Bytes(data.begin(), data.end())});
+                               .data = Bytes(bytes.begin(), bytes.end())});
     if (!jst.ok()) return jst.error();
   }
   engine_metrics().writes.inc();
-  engine_metrics().bytes_written.add(data.size());
-  return WriteOutcome{.bytes = data.size(), .sequential_disk = true,
+  engine_metrics().bytes_written.add(bytes.size());
+  return WriteOutcome{.bytes = bytes.size(), .sequential_disk = true,
                       .version = rec.version, .size = rec.length};
 }
 
@@ -332,9 +260,7 @@ Result<ReadOutcome> StorageEngine::read(const std::string& key, std::uint64_t of
     if (e_end <= offset || e.log_off >= end) continue;
     const std::uint64_t lo = std::max(e.log_off, offset);
     const std::uint64_t hi = std::min(e_end, end);
-    const Bytes& seg = s.segments[e.segment];
-    std::copy_n(seg.begin() + static_cast<std::ptrdiff_t>(e.seg_off + (lo - e.log_off)),
-                hi - lo, out.data.begin() + static_cast<std::ptrdiff_t>(lo - offset));
+    std::memcpy(out.data.data() + (lo - offset), e.bytes().data() + (lo - e.log_off), hi - lo);
     out.covered += hi - lo;
     ++out.extents_touched;
   }
@@ -356,7 +282,7 @@ Result<ReadIntoOutcome> StorageEngine::read_into(const std::string& key,
   out.version = rec.version;
   // Same extent-index fold the digest-only votes use, so both sides of an
   // arbitration compare digests with one definition.
-  if (want_digest) out.digest = probe_locked(s, rec, offset, dst.size()).digest;
+  if (want_digest) out.digest = probe_locked(rec, offset, dst.size()).digest;
   if (offset >= rec.length || dst.empty()) return out;
   out.data_len = std::min<std::uint64_t>(dst.size(), rec.length - offset);
   const std::uint64_t end = offset + out.data_len;
@@ -365,9 +291,7 @@ Result<ReadIntoOutcome> StorageEngine::read_into(const std::string& key,
     if (e_end <= offset || e.log_off >= end) continue;
     const std::uint64_t lo = std::max(e.log_off, offset);
     const std::uint64_t hi = std::min(e_end, end);
-    const Bytes& seg = s.segments[e.segment];
-    std::copy_n(seg.begin() + static_cast<std::ptrdiff_t>(e.seg_off + (lo - e.log_off)),
-                hi - lo, dst.begin() + static_cast<std::ptrdiff_t>(lo - offset));
+    std::memcpy(dst.data() + (lo - offset), e.bytes().data() + (lo - e.log_off), hi - lo);
     out.covered += hi - lo;
     ++out.extents_touched;
   }
@@ -383,10 +307,10 @@ Result<SpanProbeOutcome> StorageEngine::span_probe(const std::string& key,
   auto lk = lock(s);
   auto it = s.objects.find(key);
   if (it == s.objects.end()) return {Errc::not_found, key};
-  return probe_locked(s, it->second, offset, len);
+  return probe_locked(it->second, offset, len);
 }
 
-SpanProbeOutcome StorageEngine::probe_locked(const Shard& s, const ObjectRec& rec,
+SpanProbeOutcome StorageEngine::probe_locked(const ObjectRec& rec,
                                              std::uint64_t offset, std::uint64_t len) {
   SpanProbeOutcome out;
   out.size = rec.length;
@@ -405,11 +329,7 @@ SpanProbeOutcome StorageEngine::probe_locked(const Shard& s, const ObjectRec& re
     // the window covers the same bytes. Split/trimmed extents dropped their
     // checksum (0), so hash their overlapping stored bytes instead.
     std::uint64_t content = e.checksum;
-    if (content == 0) {
-      const Bytes& seg = s.segments[e.segment];
-      content = content_checksum(
-          subview(as_view(seg), e.seg_off + (lo - e.log_off), hi - lo));
-    }
+    if (content == 0) content = content_checksum(e.bytes().subspan(lo - e.log_off, hi - lo));
     out.digest = hash_combine(out.digest, lo - offset);
     out.digest = hash_combine(out.digest, hi - lo);
     out.digest = hash_combine(out.digest, lo - e.log_off);
@@ -433,25 +353,16 @@ Result<Version> StorageEngine::truncate_locked(Shard& s, const std::string& key,
   if (it == s.objects.end()) return {Errc::not_found, key};
   ObjectRec& rec = it->second;
   if (new_size < rec.length) {
-    // Drop extents fully past the new end; trim any extent straddling it.
-    std::vector<Extent> kept;
-    for (const Extent& e : rec.extents) {
-      if (e.log_off >= new_size) {
-        retire_bytes(s, e.segment, e.len);
-        continue;
-      }
-      if (e.log_off + e.len > new_size) {
-        Extent trimmed = e;
-        const std::uint64_t cut = e.log_off + e.len - new_size;
-        trimmed.len -= cut;
-        trimmed.checksum = 0;
-        retire_bytes(s, e.segment, cut);
-        kept.push_back(trimmed);
-      } else {
-        kept.push_back(e);
-      }
+    // Drop extents fully past the new end; trim an extent straddling it.
+    auto past = std::ranges::lower_bound(rec.extents, new_size, {}, &Extent::log_off);
+    for (auto e = past; e != rec.extents.end(); ++e) retire_bytes(s, e->len);
+    rec.extents.erase(past, rec.extents.end());
+    if (!rec.extents.empty() && rec.extents.back().log_off + rec.extents.back().len > new_size) {
+      Extent& last = rec.extents.back();
+      retire_bytes(s, last.log_off + last.len - new_size);
+      last.len = new_size - last.log_off;
+      last.checksum = 0;
     }
-    rec.extents = std::move(kept);
   }
   rec.length = new_size;
   ++rec.version;
@@ -522,7 +433,7 @@ Status StorageEngine::install(const std::string& key, ByteView data,
     auto rm = remove_locked(s, key);
     if (!rm.ok()) return rm;
   }
-  auto w = write_locked(s, key, 0, data, /*create_if_missing=*/true, 0);
+  auto w = write_locked(s, key, 0, SharedBytes::copy_of(data), /*create_if_missing=*/true, 0);
   if (!w.ok()) return w.error();
   if (logical_size != data.size()) {
     auto t = truncate_locked(s, key, logical_size);
@@ -577,11 +488,16 @@ std::uint64_t StorageEngine::dead_bytes() const {
   return n;
 }
 
-std::uint64_t StorageEngine::segments_total() const {
+std::uint64_t StorageEngine::buffer_bytes() const {
   std::uint64_t n = 0;
+  std::unordered_set<const std::byte*> seen;
   for (const Shard& s : *shards_) {
     auto lk = lock(s);
-    n += s.segments.size();
+    for (const auto& [key, rec] : s.objects) {
+      for (const Extent& e : rec.extents) {
+        if (seen.insert(e.buf.owner.get()).second) n += e.buf.size();
+      }
+    }
   }
   return n;
 }
@@ -610,45 +526,25 @@ std::uint64_t StorageEngine::compact() {
 }
 
 std::uint64_t StorageEngine::compact_locked(Shard& s) {
-  const std::uint64_t reclaimed = s.dead_bytes;
-  std::vector<Bytes> fresh;
-  auto fresh_append = [&](ByteView data) -> std::pair<std::uint32_t, std::uint64_t> {
-    if (fresh.empty() ||
-        (fresh.back().size() + data.size() > cfg_.segment_bytes && !fresh.back().empty())) {
-      fresh.emplace_back();
-    }
-    Bytes& seg = fresh.back();
-    const std::uint64_t off = seg.size();
-    append(seg, data);
-    return {static_cast<std::uint32_t>(fresh.size() - 1), off};
-  };
+  // Only a partial extent's buffer also holds superseded or trimmed bytes:
+  // moving the extent to a buffer of its own size lets the old one go once
+  // no other extent (here or on another replica) references it.
   for (auto& [key, rec] : s.objects) {
     for (Extent& e : rec.extents) {
-      const Bytes& seg = s.segments[e.segment];
-      ByteView data = subview(as_view(seg), e.seg_off, e.len);
-      auto [ns, noff] = fresh_append(data);
-      e.segment = ns;
-      e.seg_off = noff;
-      e.checksum = content_checksum(data);
+      if (e.buf_off == 0 && e.len == e.buf.size()) continue;
+      e.buf = SharedBytes::copy_of(e.bytes());
+      e.buf_off = 0;
+      e.checksum = content_checksum(e.buf.view);
     }
   }
-  for (std::uint32_t slot : s.free_slots) {
-    if (s.segments[slot].capacity() != 0) --warm_slots_;
-  }
-  s.free_slots.clear();
-  s.segments = std::move(fresh);
-  s.seg_live.assign(s.segments.size(), 0);
-  for (std::size_t i = 0; i < s.segments.size(); ++i) s.seg_live[i] = s.segments[i].size();
-  s.active = s.segments.empty() ? 0 : static_cast<std::uint32_t>(s.segments.size() - 1);
-  s.dead_bytes = 0;
-  return reclaimed;
+  return std::exchange(s.dead_bytes, 0);
 }
 
 Status StorageEngine::verify_integrity() const {
   for (const Shard& s : *shards_) {
     auto lk = lock(s);
     for (const auto& [key, rec] : s.objects) {
-      auto st = verify_locked(s, key, rec);
+      auto st = verify_locked(key, rec);
       if (!st.ok()) return st;
     }
   }
@@ -660,18 +556,13 @@ Status StorageEngine::verify_object(const std::string& key) const {
   auto lk = lock(s);
   auto it = s.objects.find(key);
   if (it == s.objects.end()) return {Errc::not_found, key};
-  return verify_locked(s, key, it->second);
+  return verify_locked(key, it->second);
 }
 
-Status StorageEngine::verify_locked(const Shard& s, const std::string& key,
-                                    const ObjectRec& rec) {
+Status StorageEngine::verify_locked(const std::string& key, const ObjectRec& rec) {
   for (const Extent& e : rec.extents) {
     if (e.checksum == 0) continue;  // partial extents: checksum dropped
-    const Bytes& seg = s.segments[e.segment];
-    if (e.seg_off + e.len > seg.size()) {
-      return {Errc::io_error, "extent past segment end: " + key};
-    }
-    if (content_checksum(subview(as_view(seg), e.seg_off, e.len)) != e.checksum) {
+    if (content_checksum(e.bytes()) != e.checksum) {
       return {Errc::io_error, "checksum mismatch: " + key};
     }
   }
@@ -700,7 +591,7 @@ Result<std::uint64_t> StorageEngine::write_checkpoint(bool prune_wal) {
       for (const Extent& e : rec.extents) {
         persist::CheckpointRun run;
         run.log_off = e.log_off;
-        const ByteView data = subview(as_view(s.segments[e.segment]), e.seg_off, e.len);
+        const ByteView data = e.bytes();
         run.data.assign(data.begin(), data.end());
         // Partial extents carry checksum 0 in the index; the snapshot always
         // records a real one so recovery can validate every run.
@@ -765,9 +656,9 @@ Status StorageEngine::restore_object(const persist::CheckpointObject& obj) {
       return {Errc::io_error, "checkpoint run checksum mismatch: " + obj.key};
     }
     prev_end = run.log_off + run.data.size();
-    auto [seg, seg_off] = append_to_log(s, as_view(run.data));
-    rec.extents.push_back({.log_off = run.log_off, .segment = seg, .seg_off = seg_off,
-                           .len = run.data.size(), .checksum = run.checksum});
+    rec.extents.push_back({.log_off = run.log_off, .len = run.data.size(),
+                           .checksum = run.checksum,
+                           .buf = SharedBytes::copy_of(as_view(run.data))});
     s.live_bytes += run.data.size();
   }
   return Status::success();
@@ -849,10 +740,11 @@ bool StorageEngine::corrupt_for_testing(const std::string& key) {
   auto lk = lock(s);
   auto it = s.objects.find(key);
   if (it == s.objects.end() || it->second.extents.empty()) return false;
-  const Extent& e = it->second.extents.front();
-  if (e.len == 0) return false;
-  Bytes& seg = s.segments[e.segment];
-  seg[e.seg_off] ^= std::byte{0xff};
+  Extent& e = it->second.extents.front();
+  // Copy-on-write: other replicas' engines may share the buffer and must
+  // keep the original bytes. The fresh copy is this extent's alone.
+  e.buf = SharedBytes::copy_of(e.buf.view);
+  const_cast<std::byte&>(e.buf.view[e.buf_off]) ^= std::byte{0xff};
   return true;
 }
 

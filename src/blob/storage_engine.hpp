@@ -1,31 +1,33 @@
-// Per-node log-structured object store.
+// Per-node object store: log-structured in simulated cost, extents over
+// shared immutable buffers in host memory.
 //
-// All writes append to the active segment (sequential on the simulated
-// disk — this is the mechanical root of the blob stack's write advantage
-// over update-in-place file systems). A per-object extent index maps
-// logical object ranges onto segment extents; overwrites supersede extents
-// and leave dead bytes behind, which `compact()` reclaims.
+// Simulated cost is that of a log-structured append (sequential on the
+// simulated disk — the mechanical root of the blob stack's write advantage
+// over update-in-place file systems): overwrites supersede extents and
+// leave dead bytes behind, which `compact()` reclaims. In host memory each
+// extent points into an immutable, refcounted payload buffer (SharedBytes):
+// every replica of a client write references the one buffer the client
+// built, and a buffer is freed when no extent on any replica references it.
 //
 // The engine is split into kShards shards, selected by the same key hash as
 // the server's lock stripes (BlobServer::stripe_of). Each shard owns its
-// objects, version floors, segments, free slots and live/dead byte counts
-// behind its own mutex, so every single-key call takes exactly one shard
-// lock and mutations of keys in different shards never wait on each other.
-// A single-key call is atomic: its outcome reports the object's size and
-// version as of the same lock hold that served the data. Whole-engine
-// operations (scan, counts, compaction, checkpoint, integrity) visit the
-// shards in index order, one shard lock at a time.
+// objects, version floors and live/dead byte counts behind its own mutex,
+// so every single-key call takes exactly one shard lock and mutations of
+// keys in different shards never wait on each other. A single-key call is
+// atomic: its outcome reports the object's size and version as of the same
+// lock hold that served the data. Whole-engine operations (scan, counts,
+// compaction, checkpoint, integrity) visit the shards in index order, one
+// shard lock at a time.
 //
-// Durability: the in-memory log can be backed by a write-ahead journal
+// Durability: the in-memory store can be backed by a write-ahead journal
 // (persist::Journal). With one attached, every successful mutation is
 // appended as a WAL record, `write_checkpoint()` snapshots the object table
 // + extent data, and `recover(dir)` rebuilds an engine from the newest
 // valid checkpoint plus WAL replay — reproducing logical contents, holes,
-// and versions exactly (physical segment layout may differ).
+// and versions exactly (extent-to-buffer layout may differ).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -43,8 +45,7 @@
 namespace bsc::blob {
 
 struct EngineConfig {
-  std::uint64_t segment_bytes = 8ULL << 20;  ///< sealed-segment size
-  double compact_dead_ratio = 0.5;           ///< compaction trigger threshold
+  double compact_dead_ratio = 0.5;  ///< compaction trigger threshold
 };
 
 // Every outcome carries the object's `size` and `version` as of the lock
@@ -152,15 +153,24 @@ class StorageEngine {
   [[nodiscard]] bool contains(const std::string& key) const;
 
   /// Random-access write; grows the object as needed. Creates the object
-  /// when `create_if_missing` (RADOS semantics), else not_found.
+  /// when `create_if_missing` (RADOS semantics), else not_found. The new
+  /// extent keeps a reference to `data`'s buffer: every replica of a client
+  /// write stores the one buffer the client built.
   /// `checksum`, when non-zero, is the caller's precomputed
   /// content_checksum(data): every client write path computes it once and
-  /// ships it with a view of the payload, so each replica stores instead of
+  /// ships it with the payload, so each replica stores instead of
   /// recomputing (and a wire corruption is caught later against the
   /// *sender's* checksum, which a server-side recompute would bless).
-  /// 0 = compute here (repair installs, WAL replay, standalone callers).
-  Result<WriteOutcome> write(const std::string& key, std::uint64_t offset, ByteView data,
+  /// 0 = compute here.
+  Result<WriteOutcome> write(const std::string& key, std::uint64_t offset, SharedBytes data,
                              bool create_if_missing, std::uint64_t checksum = 0);
+
+  /// write() of a plain view (repair installs, WAL replay, standalone
+  /// callers): copies `data` into a fresh buffer first.
+  Result<WriteOutcome> write(const std::string& key, std::uint64_t offset, ByteView data,
+                             bool create_if_missing, std::uint64_t checksum = 0) {
+    return write(key, offset, SharedBytes::copy_of(data), create_if_missing, checksum);
+  }
 
   /// Random-access read; unwritten holes read as zero; reads past the end
   /// are clipped (empty result at/after EOF).
@@ -230,11 +240,14 @@ class StorageEngine {
   // --- space accounting / compaction ---
   [[nodiscard]] std::uint64_t live_bytes() const;
   [[nodiscard]] std::uint64_t dead_bytes() const;
-  [[nodiscard]] std::uint64_t segments_total() const;
+  /// Host memory held: the summed sizes of the distinct payload buffers this
+  /// engine's extents reference. Only partly superseded buffers hold dead bytes.
+  [[nodiscard]] std::uint64_t buffer_bytes() const;
   [[nodiscard]] bool needs_compaction() const;
 
-  /// Rewrite all live extents into fresh segments (shard by shard); returns
-  /// bytes reclaimed.
+  /// Copy every partial extent into a buffer of its own size, so that no
+  /// dead byte is held any more, and zero the dead-byte count (shard by
+  /// shard); returns the dead bytes reclaimed.
   std::uint64_t compact();
 
   /// Verify every extent checksum (failure injection tests flip bytes).
@@ -243,16 +256,19 @@ class StorageEngine {
   /// Verify one object's extent checksums.
   [[nodiscard]] Status verify_object(const std::string& key) const;
 
-  /// Test hook: corrupt one byte of stored data for `key` (if any exists).
+  /// Test hook: corrupt one byte of stored data for `key` (if any exists), in
+  /// a private copy of the buffer so other engines sharing it are untouched.
   bool corrupt_for_testing(const std::string& key);
 
  private:
   struct Extent {
     std::uint64_t log_off = 0;  ///< logical offset within the object
-    std::uint32_t segment = 0;
-    std::uint64_t seg_off = 0;
+    std::uint64_t buf_off = 0;  ///< offset of the extent's bytes within `buf`
     std::uint64_t len = 0;
     std::uint64_t checksum = 0;
+    SharedBytes buf;            ///< the whole buffer a write stored
+
+    [[nodiscard]] ByteView bytes() const noexcept { return buf.view.subspan(buf_off, len); }
   };
 
   struct ObjectRec {
@@ -266,10 +282,6 @@ class StorageEngine {
     mutable std::mutex mu;
     std::map<std::string, ObjectRec> objects;
     std::map<std::string, Version> removed_floors;  ///< last version of removed keys
-    std::vector<Bytes> segments;                    ///< empty until the first append
-    std::uint32_t active = 0;                       ///< index of the open (append) segment
-    std::vector<std::uint64_t> seg_live;            ///< live bytes per segment slot
-    std::vector<std::uint32_t> free_slots;          ///< fully-dead slots ready for reuse
     std::uint64_t live_bytes = 0;
     std::uint64_t dead_bytes = 0;
   };
@@ -285,38 +297,29 @@ class StorageEngine {
 
   // The helpers below run with the shard's lock held.
 
-  /// Append raw data to the shard's log; returns (segment, seg_off).
-  std::pair<std::uint32_t, std::uint64_t> append_to_log(Shard& s, ByteView data);
+  /// Account `n` live bytes dead.
+  static void retire_bytes(Shard& s, std::uint64_t n) noexcept;
 
-  /// Account `n` bytes of `segment` dead (live/dead bytes and per-segment
-  /// live count) and recycle the slot if the segment is now fully dead.
-  void retire_bytes(Shard& s, std::uint32_t segment, std::uint64_t n);
-
-  /// If `segment` is sealed, non-empty and fully dead, clear its buffer and
-  /// put the slot on the free list so the next sealed-segment transition
-  /// reuses it (warm pages) instead of faulting a fresh allocation.
-  void maybe_recycle(Shard& s, std::uint32_t segment);
-
-  /// Replace [off, off+len) of the object's extent list with a new extent.
-  void supersede_range(Shard& s, ObjectRec& rec, std::uint64_t off, std::uint64_t len);
+  /// Cut [off, off+len) out of the object's extent list, keeping the left
+  /// and right slices of overlapping extents on their buffers.
+  static void supersede_range(Shard& s, ObjectRec& rec, std::uint64_t off, std::uint64_t len);
 
   Result<WriteOutcome> write_locked(Shard& s, const std::string& key, std::uint64_t offset,
-                                    ByteView data, bool create_if_missing,
+                                    SharedBytes data, bool create_if_missing,
                                     std::uint64_t checksum);
   Status remove_locked(Shard& s, const std::string& key);
   Result<Version> truncate_locked(Shard& s, const std::string& key, std::uint64_t new_size);
   Status set_version_locked(Shard& s, const std::string& key, Version v);
-  std::uint64_t compact_locked(Shard& s);
-  [[nodiscard]] static Status verify_locked(const Shard& s, const std::string& key,
-                                            const ObjectRec& rec);
-  [[nodiscard]] static SpanProbeOutcome probe_locked(const Shard& s, const ObjectRec& rec,
+  static std::uint64_t compact_locked(Shard& s);
+  [[nodiscard]] static Status verify_locked(const std::string& key, const ObjectRec& rec);
+  [[nodiscard]] static SpanProbeOutcome probe_locked(const ObjectRec& rec,
                                                      std::uint64_t offset, std::uint64_t len);
 
   /// Append a record to the attached journal (no-op without one).
   Status journal_append(persist::WalRecord rec);
 
-  /// Recovery: install one checkpointed object wholesale (extents appended
-  /// to the log, length/version restored verbatim).
+  /// Recovery: install one checkpointed object wholesale (one buffer per
+  /// run, length/version restored verbatim).
   Status restore_object(const persist::CheckpointObject& obj);
 
   /// Consume the version floor a prior remove left for `key` (0 if none):
@@ -325,12 +328,6 @@ class StorageEngine {
 
   EngineConfig cfg_;
   std::unique_ptr<Shards> shards_;
-  /// Sealed, fully-dead slots still holding their buffer, across all shards.
-  /// Past kWarmSlots a recycled slot drops its buffer memory (the slot itself
-  /// is still reused, it just re-reserves on next open): the warm budget is
-  /// per engine, not per shard.
-  std::atomic<std::size_t> warm_slots_{0};
-  static constexpr std::size_t kWarmSlots = 8;
   persist::Journal* journal_ = nullptr;
 };
 

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -26,6 +27,28 @@ inline std::string to_string(ByteView b) {
 }
 
 inline ByteView as_view(const Bytes& b) noexcept { return {b.data(), b.size()}; }
+
+/// An immutable, refcounted payload: `owner` keeps the buffer alive and
+/// `view` is its bytes. Nothing writes the buffer after copy_of builds it,
+/// so copies share it (one refcount bump, no byte copied) across engines
+/// and threads without a lock, and its memory is freed when the last copy
+/// lets go.
+struct SharedBytes {
+  std::shared_ptr<const std::byte[]> owner;
+  ByteView view;
+
+  /// A fresh buffer holding a copy of `src`, allocated without zero-filling
+  /// first. Empty `src` gives an empty, ownerless value.
+  static SharedBytes copy_of(ByteView src) {
+    if (src.empty()) return {};
+    auto buf = std::make_shared_for_overwrite<std::byte[]>(src.size());
+    std::memcpy(buf.get(), src.data(), src.size());
+    const ByteView view{buf.get(), src.size()};
+    return {std::move(buf), view};
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return view.size(); }
+};
 
 inline ByteView subview(ByteView b, std::size_t offset, std::size_t len) noexcept {
   if (offset >= b.size()) return {};

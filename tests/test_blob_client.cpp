@@ -204,7 +204,8 @@ TEST_F(BlobClientTest, ServerStoresShippedChecksumWithoutRecomputing) {
   for (const auto& [key, sum] : {std::pair{std::string{"shipped-bad"}, right ^ 1},
                                  std::pair{std::string{"shipped-good"}, right}}) {
     auto lk = srv.lock_key(key);
-    const BlobServer::OpRef op{BlobServer::OpRef::Kind::write, &key, 0, as_view(data), 0, sum};
+    const BlobServer::OpRef op{BlobServer::OpRef::Kind::write, &key, 0,
+                               SharedBytes::copy_of(as_view(data)), 0, sum};
     ASSERT_TRUE(srv.apply_ops(&op, 1, &svc).ok());
   }
   EXPECT_FALSE(srv.verify_key("shipped-bad").ok());

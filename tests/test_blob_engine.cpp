@@ -1,4 +1,4 @@
-// Unit + property tests for the per-node log-structured blob engine.
+// Unit + property tests for the per-node blob engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,7 +136,7 @@ TEST(Engine, ScanSortedAndPrefixFiltered) {
 }
 
 TEST(Engine, CompactionReclaimsDeadBytesAndPreservesData) {
-  StorageEngine e(EngineConfig{.segment_bytes = 4096, .compact_dead_ratio = 0.3});
+  StorageEngine e(EngineConfig{.compact_dead_ratio = 0.3});
   Rng rng(42);
   std::map<std::string, Bytes> model;
   for (int i = 0; i < 50; ++i) {
@@ -159,29 +159,30 @@ TEST(Engine, CompactionReclaimsDeadBytesAndPreservesData) {
 }
 
 TEST(Engine, SteadyStateOverwriteRecyclesSegmentSlots) {
-  // A bounded working set overwritten forever must not grow the segment
-  // list without bound: every overwrite fully kills the previous round's
-  // extents, so their sealed segments become recyclable slots.
-  StorageEngine e(EngineConfig{.segment_bytes = 4096});
+  // A bounded working set overwritten forever must not grow the memory it
+  // holds: every overwrite fully replaces the previous round's extents, so
+  // their buffers are freed and exactly the live bytes stay held.
+  StorageEngine e;
   const Bytes data = make_payload(9, 0, 4000);
   for (int round = 0; round < 200; ++round) {
     for (int k = 0; k < 4; ++k) {
       ASSERT_TRUE(e.write("hot-" + std::to_string(k), 0, as_view(data), true).ok());
     }
   }
-  // 800 segment-filling writes land in a handful of recycled slots, not 800
-  // fresh segments.
-  EXPECT_LT(e.segments_total(), 32u);
+  EXPECT_EQ(e.live_bytes(), 4u * 4000u);
+  EXPECT_EQ(e.buffer_bytes(), e.live_bytes());
   EXPECT_TRUE(e.verify_integrity().ok());
   for (int k = 0; k < 4; ++k) {
     auto r = e.read("hot-" + std::to_string(k), 0, 4000);
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(equal(as_view(r.value().data), as_view(data)));
   }
+  for (int k = 0; k < 4; ++k) ASSERT_TRUE(e.remove("hot-" + std::to_string(k)).ok());
+  EXPECT_EQ(e.buffer_bytes(), 0u);
 }
 
 TEST(Engine, RecycledSlotSurvivesRemoveTruncateAndCompact) {
-  StorageEngine e(EngineConfig{.segment_bytes = 2048});
+  StorageEngine e;
   const Bytes data = make_payload(10, 0, 2000);
   for (int i = 0; i < 8; ++i) {
     const std::string key = "r-" + std::to_string(i);
@@ -194,17 +195,30 @@ TEST(Engine, RecycledSlotSurvivesRemoveTruncateAndCompact) {
   }
   ASSERT_TRUE(e.write("keep", 0, as_view(data), true).ok());
   EXPECT_TRUE(e.verify_integrity().ok());
+  // Removed objects freed their buffers; each truncated one still holds its
+  // whole 2000-byte buffer for 100 live bytes.
+  EXPECT_EQ(e.live_bytes(), 4u * 100u + 2000u);
+  EXPECT_EQ(e.buffer_bytes(), 5u * 2000u);
   e.compact();
+  EXPECT_EQ(e.buffer_bytes(), e.live_bytes());
   EXPECT_TRUE(e.verify_integrity().ok());
   auto r = e.read("keep", 0, 2000);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(equal(as_view(r.value().data), as_view(data)));
-  // Compaction rebuilt the log; steady-state overwrites keep recycling.
+  for (int i = 1; i < 8; i += 2) {
+    auto t = e.read("r-" + std::to_string(i), 0, 100);
+    ASSERT_TRUE(t.ok());
+    EXPECT_TRUE(equal(as_view(t.value().data), subview(as_view(data), 0, 100)));
+  }
+  // Steady-state overwrites after compaction hold only the live bytes.
   for (int round = 0; round < 50; ++round) {
     ASSERT_TRUE(e.write("keep", 0, as_view(data), true).ok());
   }
-  EXPECT_LT(e.segments_total(), 16u);
+  EXPECT_EQ(e.buffer_bytes(), e.live_bytes());
   EXPECT_TRUE(e.verify_integrity().ok());
+  ASSERT_TRUE(e.remove("keep").ok());
+  for (int i = 1; i < 8; i += 2) ASSERT_TRUE(e.remove("r-" + std::to_string(i)).ok());
+  EXPECT_EQ(e.buffer_bytes(), 0u);
 }
 
 TEST(Engine, IntegrityDetectsCorruption) {
@@ -213,6 +227,24 @@ TEST(Engine, IntegrityDetectsCorruption) {
   EXPECT_TRUE(e.verify_integrity().ok());
   ASSERT_TRUE(e.corrupt_for_testing("k"));
   EXPECT_EQ(e.verify_integrity().code(), Errc::io_error);
+}
+
+TEST(Engine, CorruptionCopiesASharedBuffer) {
+  // Two replicas store one client buffer; corrupting one must not reach the
+  // other, which still verifies and reads back the original bytes.
+  StorageEngine a;
+  StorageEngine b;
+  const Bytes data = make_payload(5, 0, 4096);
+  const SharedBytes shared = SharedBytes::copy_of(as_view(data));
+  ASSERT_TRUE(a.write("k", 0, shared, true).ok());
+  ASSERT_TRUE(b.write("k", 0, shared, true).ok());
+  ASSERT_TRUE(a.corrupt_for_testing("k"));
+  EXPECT_EQ(a.verify_object("k").code(), Errc::io_error);
+  EXPECT_TRUE(b.verify_object("k").ok());
+  auto r = b.read("k", 0, data.size());
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(equal(as_view(r.value().data), as_view(data)));
+  EXPECT_TRUE(equal(shared.view, as_view(data)));
 }
 
 TEST(Engine, RemoveAccountsDeadBytes) {
@@ -225,12 +257,12 @@ TEST(Engine, RemoveAccountsDeadBytes) {
 }
 
 // Property sweep: random offset/length write programs agree with an
-// in-memory reference model, across segment-boundary regimes.
+// in-memory reference model, through splits, trims and compactions.
 class EngineRandomProgram : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EngineRandomProgram, MatchesReferenceModel) {
   const std::uint64_t seed = GetParam();
-  StorageEngine e(EngineConfig{.segment_bytes = 2048, .compact_dead_ratio = 0.5});
+  StorageEngine e(EngineConfig{.compact_dead_ratio = 0.5});
   Rng rng(seed);
   std::map<std::string, Bytes> model;
   for (int step = 0; step < 300; ++step) {
@@ -297,7 +329,7 @@ std::vector<std::string> keys_in_every_shard(std::size_t per_shard) {
 }
 
 TEST(EngineShards, AccountingMatchesPerKeyTruth) {
-  StorageEngine e(EngineConfig{.segment_bytes = 4096});
+  StorageEngine e;
   const auto keys = keys_in_every_shard(3);
   struct Truth {
     Bytes data;
@@ -306,8 +338,8 @@ TEST(EngineShards, AccountingMatchesPerKeyTruth) {
   std::map<std::string, Truth> model;
   std::uint64_t appended = 0;
   // Write lengths strictly grow, so no write can exactly match an existing
-  // extent: every write appends, and the log holds exactly `appended` bytes,
-  // each live or dead.
+  // extent: every write adds an extent, and exactly `appended` bytes were
+  // stored, each live or dead.
   std::uint64_t len = 16;
   Rng rng(7);
   for (int step = 0; step < 3000; ++step) {
@@ -379,7 +411,7 @@ TEST(EngineShards, CheckpointAndWalReplayRoundTripAcrossShards) {
   auto j = persist::Journal::open(dir.path(), {.fsync = persist::FsyncPolicy::none});
   ASSERT_TRUE(j.ok());
   auto journal = std::move(j).take();
-  const EngineConfig cfg{.segment_bytes = 4096};
+  const EngineConfig cfg{};
   StorageEngine e(cfg);
   e.attach_journal(journal.get());
   // Three keys per shard, one per role:
