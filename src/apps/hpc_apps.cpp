@@ -59,12 +59,15 @@ Status write_range(mpiio::MpiIo& io, vfs::FileHandle fh, std::uint64_t off,
   return Status::success();
 }
 
-/// Run `body(rank, io)` on `ranks` concurrent threads, each with its own
-/// SimAgent forked from `driver`; driver joins the slowest rank.
+/// Run `body(rank, io)` on `ranks` threads, each with its own SimAgent forked
+/// from `driver`; driver joins the slowest rank. The ranks take turns in
+/// simulated-time order, so the simulated time and every node's queue are
+/// the same on every run and every host.
 Status run_ranks(vfs::FileSystem& fs, sim::Cluster& cluster, std::uint32_t ranks,
                  sim::SimAgent& driver,
                  const std::function<Status(std::uint32_t, mpiio::MpiIo&)>& body) {
-  mpiio::Communicator comm(ranks, cluster.net());
+  sim::AgentScheduler scheduler(ranks);
+  mpiio::Communicator comm(ranks, cluster.net(), &scheduler);
   std::vector<sim::SimAgent> agents(ranks, driver.fork());
   std::mutex fail_mu;
   Status failure = Status::success();
@@ -74,6 +77,7 @@ Status run_ranks(vfs::FileSystem& fs, sim::Cluster& cluster, std::uint32_t ranks
     mpiio::MpiIo io(comm, static_cast<std::uint32_t>(r), fs,
                     vfs::IoCtx{&agents[r], 500, 500});
     auto st = body(static_cast<std::uint32_t>(r), io);
+    scheduler.finish(static_cast<std::uint32_t>(r));
     if (!st.ok()) {
       std::scoped_lock lk(fail_mu);
       if (failure.ok()) failure = st;

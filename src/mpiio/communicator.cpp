@@ -5,9 +5,11 @@
 
 namespace bsc::mpiio {
 
-Communicator::Communicator(std::uint32_t size, const sim::NetModel& net)
+Communicator::Communicator(std::uint32_t size, const sim::NetModel& net,
+                           sim::AgentScheduler* scheduler)
     : size_(size ? size : 1),
       net_(&net),
+      scheduler_(scheduler),
       bar_(static_cast<std::ptrdiff_t>(size_), [this] {
         // Completion runs exactly once per phase, after all ranks arrived
         // and before any is released: publish the phase maximum and stage
@@ -26,6 +28,15 @@ Communicator::Communicator(std::uint32_t size, const sim::NetModel& net)
   ag_buf_.assign(size_, 0);
 }
 
+void Communicator::yield(std::uint32_t rank, const sim::SimAgent& agent) {
+  if (scheduler_ != nullptr) scheduler_->yield(rank, agent.now());
+}
+
+void Communicator::arrive_and_wait(std::uint32_t rank) {
+  if (scheduler_ != nullptr) scheduler_->block(rank);
+  bar_.arrive_and_wait();
+}
+
 std::vector<std::uint64_t> Communicator::allgather_u64(std::uint32_t rank,
                                                        sim::SimAgent& agent,
                                                        std::uint64_t value) {
@@ -35,12 +46,17 @@ std::vector<std::uint64_t> Communicator::allgather_u64(std::uint32_t rank,
     if (ag_buf_.size() != size_) ag_buf_.assign(size_, 0);
     ag_buf_[rank] = value;
   }
-  bar_.arrive_and_wait();
+  arrive_and_wait(rank);
   // Ring/recursive-doubling cost, like the barrier plus one word per rank.
   agent.advance_to(max_published_ + barrier_cost() +
                    net_->transfer_us(8ULL * size_));
-  std::scoped_lock lk(mu_);
-  return ag_out_;
+  std::vector<std::uint64_t> out;
+  {
+    std::scoped_lock lk(mu_);
+    out = ag_out_;
+  }
+  yield(rank, agent);
+  return out;
 }
 
 SimMicros Communicator::barrier_cost() const noexcept {
@@ -48,13 +64,14 @@ SimMicros Communicator::barrier_cost() const noexcept {
   return rounds * net_->profile().rtt_us;
 }
 
-void Communicator::barrier(sim::SimAgent& agent) {
+void Communicator::barrier(std::uint32_t rank, sim::SimAgent& agent) {
   {
     std::scoped_lock lk(mu_);
     max_pending_ = std::max(max_pending_, agent.now());
   }
-  bar_.arrive_and_wait();
+  arrive_and_wait(rank);
   agent.advance_to(max_published_ + barrier_cost());
+  yield(rank, agent);
 }
 
 std::vector<Communicator::Piece> Communicator::gather_pieces(std::uint32_t rank,
@@ -69,7 +86,7 @@ std::vector<Communicator::Piece> Communicator::gather_pieces(std::uint32_t rank,
   }
   // Senders pay their own transfer before blocking.
   agent.charge(net_->transfer_us(rank == 0 ? 0 : bytes));
-  bar_.arrive_and_wait();
+  arrive_and_wait(rank);
   agent.advance_to(max_published_);
   std::vector<Piece> out;
   if (rank == 0) {
@@ -81,6 +98,7 @@ std::vector<Communicator::Piece> Communicator::gather_pieces(std::uint32_t rank,
     agent.charge(net_->transfer_us(gather_bytes_published_) /
                  std::max<std::uint32_t>(1, size_));
   }
+  yield(rank, agent);
   return out;
 }
 

@@ -2,6 +2,10 @@
 // the ranks; barriers synchronize both the threads (std::barrier) and their
 // simulated clocks (everyone advances to the latest arrival plus the
 // simulated cost of the barrier's reduction tree).
+//
+// With a sim::AgentScheduler attached, the ranks also take turns in
+// simulated-time order: MpiIo calls `yield` before each storage call, and
+// every collective gives the turn up while it waits and takes it back after.
 #pragma once
 
 #include <barrier>
@@ -11,6 +15,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "sim/agent_scheduler.hpp"
 #include "sim/net_model.hpp"
 #include "sim/sim_clock.hpp"
 
@@ -18,14 +23,20 @@ namespace bsc::mpiio {
 
 class Communicator {
  public:
-  /// `net` models the interconnect used for barriers/exchanges.
-  Communicator(std::uint32_t size, const sim::NetModel& net);
+  /// `net` models the interconnect used for barriers/exchanges. `scheduler`,
+  /// when given, must span `size` agents (one per rank) and outlive this.
+  Communicator(std::uint32_t size, const sim::NetModel& net,
+               sim::AgentScheduler* scheduler = nullptr);
 
   [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
 
+  /// Wait until `rank` may touch shared state at its agent's current time
+  /// (returns at once without a scheduler).
+  void yield(std::uint32_t rank, const sim::SimAgent& agent);
+
   /// MPI_Barrier: blocks the calling thread until all ranks arrive; advances
   /// every agent to the slowest arrival plus a log2(n) reduction-tree cost.
-  void barrier(sim::SimAgent& agent);
+  void barrier(std::uint32_t rank, sim::SimAgent& agent);
 
   /// Gather (offset, payload) pairs at rank 0 — the data exchange of
   /// two-phase collective I/O. Every rank must call it. Returns, at rank 0
@@ -46,8 +57,13 @@ class Communicator {
   [[nodiscard]] SimMicros barrier_cost() const noexcept;
 
  private:
+  /// The thread-level half of every collective: give the turn up, wait for
+  /// all ranks, and run the phase completion.
+  void arrive_and_wait(std::uint32_t rank);
+
   std::uint32_t size_;
   const sim::NetModel* net_;
+  sim::AgentScheduler* scheduler_;
 
   std::mutex mu_;
   SimMicros max_pending_ = 0;

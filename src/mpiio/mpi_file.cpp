@@ -20,31 +20,35 @@ vfs::OpenFlags to_flags(AccessMode m) {
 }  // namespace
 
 Result<vfs::FileHandle> MpiIo::file_open(std::string_view path, AccessMode amode) {
-  comm_->barrier(*ctx_.agent);
+  comm_->barrier(rank_, *ctx_.agent);
   auto fh = fs_->open(ctx_, path, to_flags(amode), vfs::kDefaultFileMode);
   // Collective completion: nobody proceeds until every rank's open landed.
-  comm_->barrier(*ctx_.agent);
+  comm_->barrier(rank_, *ctx_.agent);
   return fh;
 }
 
 Status MpiIo::file_close(vfs::FileHandle fh) {
+  comm_->yield(rank_, *ctx_.agent);
   auto st = fs_->close(ctx_, fh);
-  comm_->barrier(*ctx_.agent);
+  comm_->barrier(rank_, *ctx_.agent);
   return st;
 }
 
 Status MpiIo::file_sync(vfs::FileHandle fh) {
+  comm_->yield(rank_, *ctx_.agent);
   auto st = fs_->sync(ctx_, fh);
-  comm_->barrier(*ctx_.agent);
+  comm_->barrier(rank_, *ctx_.agent);
   return st;
 }
 
 Result<Bytes> MpiIo::read_at(vfs::FileHandle fh, std::uint64_t offset, std::uint64_t len) {
+  comm_->yield(rank_, *ctx_.agent);
   return fs_->read(ctx_, fh, viewed(fh, offset), len);
 }
 
 Result<std::uint64_t> MpiIo::write_at(vfs::FileHandle fh, std::uint64_t offset,
                                       ByteView data) {
+  comm_->yield(rank_, *ctx_.agent);
   return fs_->write(ctx_, fh, viewed(fh, offset), data);
 }
 
@@ -73,22 +77,23 @@ Result<std::uint64_t> MpiIo::write_at_all(vfs::FileHandle fh, std::uint64_t offs
         append(run, as_view(pieces[j].data));
         ++j;
       }
+      comm_->yield(rank_, *ctx_.agent);
       auto w = fs_->write(ctx_, fh, run_off, as_view(run));
       if (!w.ok() && failure.ok()) failure = w.error();
       i = j;
     }
   }
   // Collective completion barrier: everyone observes the aggregated writes.
-  comm_->barrier(*ctx_.agent);
+  comm_->barrier(rank_, *ctx_.agent);
   if (!failure.ok()) return failure.error();
   return data.size();
 }
 
 Result<Bytes> MpiIo::read_at_all(vfs::FileHandle fh, std::uint64_t offset,
                                  std::uint64_t len) {
-  comm_->barrier(*ctx_.agent);
+  comm_->barrier(rank_, *ctx_.agent);
   auto r = fs_->read(ctx_, fh, viewed(fh, offset), len);
-  comm_->barrier(*ctx_.agent);
+  comm_->barrier(rank_, *ctx_.agent);
   return r;
 }
 

@@ -6,6 +6,9 @@
 // the node frees up. Because real threads race to reserve service windows,
 // the reservation is a CAS loop — the result is a linearizable sequence of
 // non-overlapping service intervals, which is exactly a single-server queue.
+// Free-running threads book windows in wall-clock order, so their simulated
+// times depend on the host; agents that must be reproducible take turns
+// through a sim::AgentScheduler and book in simulated-time order.
 #pragma once
 
 #include <atomic>

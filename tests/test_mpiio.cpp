@@ -19,7 +19,9 @@ TEST(Communicator, BarrierSynchronizesClocks) {
   ThreadPool pool(4);
   std::vector<sim::SimAgent> agents(4);
   agents[2].charge(5000);  // the straggler
-  pool.parallel_for(4, [&](std::size_t r) { comm.barrier(agents[r]); });
+  pool.parallel_for(4, [&](std::size_t r) {
+    comm.barrier(static_cast<std::uint32_t>(r), agents[r]);
+  });
   for (const auto& a : agents) {
     EXPECT_EQ(a.now(), 5000 + comm.barrier_cost());
   }
@@ -33,7 +35,7 @@ TEST(Communicator, BarrierReusableAcrossPhases) {
   pool.parallel_for(3, [&](std::size_t r) {
     for (int phase = 0; phase < 5; ++phase) {
       agents[r].charge(static_cast<SimMicros>(r * 10));
-      comm.barrier(agents[r]);
+      comm.barrier(static_cast<std::uint32_t>(r), agents[r]);
     }
   });
   EXPECT_EQ(agents[0].now(), agents[1].now());
@@ -62,6 +64,27 @@ TEST(Communicator, GatherCollectsAllPieces) {
   std::uint64_t total = 0;
   for (const auto& p : at_root) total += p.data.size();
   EXPECT_EQ(total, 1u + 2 + 3 + 4);
+}
+
+TEST(Communicator, ScheduledRanksTakeTurnsAcrossBarriers) {
+  // Before the barrier the ranks run in simulated-time order; the barrier
+  // equalizes their clocks, so afterwards the lowest rank goes first.
+  sim::NetModel net;
+  sim::AgentScheduler scheduler(3);
+  Communicator comm(3, net, &scheduler);
+  ThreadPool pool(3);
+  std::vector<std::uint32_t> order;  // written under the turn
+  pool.parallel_for(3, [&](std::size_t r) {
+    const auto rank = static_cast<std::uint32_t>(r);
+    sim::SimAgent agent;
+    agent.charge(static_cast<SimMicros>(100 * (3 - r)));
+    comm.yield(rank, agent);
+    order.push_back(rank);
+    comm.barrier(rank, agent);
+    order.push_back(rank);
+    scheduler.finish(rank);
+  });
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{2, 1, 0, 0, 1, 2}));
 }
 
 class MpiIoTest : public ::testing::Test {

@@ -2,10 +2,13 @@
 // node queueing, topology.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "sim/agent_scheduler.hpp"
 #include "sim/cluster.hpp"
 #include "sim/disk_model.hpp"
 #include "sim/net_model.hpp"
@@ -147,6 +150,49 @@ TEST(Cluster, NodeIdsUnique) {
   ids.push_back(c.metadata_node().id());
   std::sort(ids.begin(), ids.end());
   EXPECT_TRUE(std::adjacent_find(ids.begin(), ids.end()) == ids.end());
+}
+
+/// Run `times[r]` as agent r's yields on its own thread and return the
+/// turns in the order they were taken.
+std::vector<std::pair<SimMicros, std::uint32_t>> take_turns(
+    const std::vector<std::vector<SimMicros>>& times) {
+  const auto n = static_cast<std::uint32_t>(times.size());
+  AgentScheduler scheduler(n);
+  std::vector<std::pair<SimMicros, std::uint32_t>> turns;  // written under the turn
+  ThreadPool pool(n);
+  pool.parallel_for(n, [&](std::size_t r) {
+    const auto id = static_cast<std::uint32_t>(r);
+    for (SimMicros t : times[r]) {
+      scheduler.yield(id, t);
+      turns.emplace_back(t, id);
+    }
+    scheduler.finish(id);
+  });
+  return turns;
+}
+
+TEST(AgentScheduler, TurnsGoInSimulatedTimeOrder) {
+  // Yields a whole lookahead window apart merge in (time, id) order,
+  // whatever order the threads happen to run in; the tie at 0 goes to the
+  // lower id.
+  constexpr SimMicros q = AgentScheduler::kLookaheadUs;
+  const std::vector<std::vector<SimMicros>> times = {
+      {0, 4 * q, 8 * q, 9 * q}, {0, 2 * q, 6 * q, 11 * q}, {q, 3 * q, 5 * q, 7 * q},
+      {10 * q, 12 * q, 13 * q}};
+  std::vector<std::pair<SimMicros, std::uint32_t>> expected;
+  for (std::uint32_t r = 0; r < times.size(); ++r) {
+    for (SimMicros t : times[r]) expected.emplace_back(t, r);
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(take_turns(times), expected);
+}
+
+TEST(AgentScheduler, KeepsTheTurnInsideTheLookaheadWindow) {
+  // Agent 0 runs on until its clock reaches agent 1's plus the window.
+  constexpr SimMicros q = AgentScheduler::kLookaheadUs;
+  const std::vector<std::pair<SimMicros, std::uint32_t>> expected = {
+      {0, 0}, {q - 1, 0}, {0, 1}, {q, 0}};
+  EXPECT_EQ(take_turns({{0, q - 1, q}, {0}}), expected);
 }
 
 }  // namespace

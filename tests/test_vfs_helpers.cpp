@@ -90,12 +90,9 @@ TEST(Determinism, SameSeedSameCensusAndTime) {
       }
       EXPECT_EQ(r.census.census.bytes_read, census0.bytes_read);
       EXPECT_EQ(r.census.census.bytes_written, census0.bytes_written);
-      // Simulated time is *nearly* deterministic: the census and every
-      // service duration are fixed, but racing threads may reserve a node's
-      // service windows in a different order, shifting individual
-      // completions by a bounded amount.
-      EXPECT_NEAR(static_cast<double>(r.sim_time), static_cast<double>(time0),
-                  0.05 * static_cast<double>(time0));
+      // The ranks take turns in simulated-time order, so they reserve every
+      // node's service windows in the same order on every run.
+      EXPECT_EQ(r.sim_time, time0);
     }
   }
 }
