@@ -811,5 +811,115 @@ TEST(MutationGolden, SingleKeyLegsMatchParent) {
   }
 }
 
+// --- golden read legs -------------------------------------------------------
+
+/// Runs every read shape on a fault-free R=3 store (64 KiB chunks) and
+/// renders one line per op: status, the agent's simulated-time delta, the
+/// batch envelopes shipped, the failovers taken and the bytes (or size)
+/// returned. A second client writes the blobs, so the reading client's
+/// metadata cache starts cold; both share one agent. An empty fault
+/// injector (it delivers everything) runs a striped read's groups in
+/// order: fanned out on the client pool, groups that share a node book its
+/// queue in wall-clock order, and at W=2 the votes do share nodes.
+std::vector<std::string> golden_read_trace(std::uint32_t write_quorum) {
+  constexpr std::uint64_t kSmallChunk = 64 * 1024;
+  StoreConfig cfg;
+  cfg.write_quorum = write_quorum;
+  cfg.chunk_bytes = kSmallChunk;
+  sim::Cluster cluster;
+  BlobStore store(cluster, cfg);
+  rpc::FaultInjector in_order(1);
+  store.transport().set_fault_injector(&in_order);
+  sim::SimAgent agent;
+  BlobClient writer(store, &agent);
+  BlobClient client(store, &agent);
+
+  // A striped blob whose chunk 0 has another acting primary than chunks 1
+  // and 2, so a read starting past chunk 0 sends its stat sub alone.
+  std::string striped;
+  for (int i = 0; striped.empty(); ++i) {
+    const std::string key = strfmt("s%d", i);
+    const std::uint32_t p0 = store.replicas_of(key)[0];
+    if (p0 != store.replicas_of(chunk_engine_key(key, 1))[0] &&
+        p0 != store.replicas_of(chunk_engine_key(key, 2))[0]) {
+      striped = key;
+    }
+  }
+  EXPECT_TRUE(writer.write("g", 0, as_view(make_payload(63, 0, 4096))).ok());
+  EXPECT_TRUE(
+      writer.write(striped, 0, as_view(make_payload(64, 0, 3 * kSmallChunk - 100))).ok());
+
+  std::vector<std::string> lines;
+  const auto step = [&](const char* what, const auto& op) {
+    const SimMicros t0 = agent.now();
+    const std::uint64_t env0 = client.counters().batch_envelopes;
+    const std::uint64_t fo0 = client.counters().failovers;
+    const auto [code, n] = op();
+    lines.push_back(strfmt(
+        "%s %s dt=%lld env=%llu fo=%llu n=%llu", what,
+        std::string{to_string(code)}.c_str(), static_cast<long long>(agent.now() - t0),
+        static_cast<unsigned long long>(client.counters().batch_envelopes - env0),
+        static_cast<unsigned long long>(client.counters().failovers - fo0),
+        static_cast<unsigned long long>(n)));
+  };
+  const auto read = [&](const std::string& key, std::uint64_t off, std::uint64_t len) {
+    return [&client, key, off, len] {
+      auto r = client.read(key, off, len);
+      return std::pair{r.code(), r.ok() ? r.value().size() : std::uint64_t{0}};
+    };
+  };
+  const auto stat = [&](const std::string& key) {
+    return [&client, key] {
+      auto s = client.stat(key);
+      return std::pair{s.code(), s.ok() ? s.value().size : std::uint64_t{0}};
+    };
+  };
+
+  step("read", read("g", 0, 4096));
+  step("read-absent", read("ghost", 0, 4096));
+  step("read-past-eof", read("g", 8192, 100));
+  step("stat", stat("g"));
+  step("stat-absent", stat("ghost"));
+  step("size-cached", [&] {
+    auto s = client.size("g");
+    return std::pair{s.code(), s.ok() ? s.value() : std::uint64_t{0}};
+  });
+  step("striped-cold", read(striped, 0, 3 * kSmallChunk));
+  step("striped-warm", read(striped, 0, 3 * kSmallChunk));
+  step("striped-past-chunk0", read(striped, kSmallChunk + 100, kSmallChunk));
+  return lines;
+}
+
+// Pins every read shape to literal statuses, simulated costs, envelope and
+// failover counts: a lone read or stat is one plain request (no batch
+// envelope), a striped read ships one envelope per candidate group plus,
+// on a cache miss, one stat round first.
+TEST(ReadGolden, ReadLegsMatchParent) {
+  const std::vector<std::string> expected_w0 = {
+      "read ok dt=143 env=0 fo=0 n=4096",
+      "read-absent not_found dt=105 env=0 fo=0 n=0",
+      "read-past-eof ok dt=106 env=0 fo=0 n=0",
+      "stat ok dt=106 env=0 fo=0 n=4096",
+      "stat-absent not_found dt=106 env=0 fo=0 n=0",
+      "size-cached ok dt=0 env=0 fo=0 n=4096",
+      "striped-cold ok dt=824 env=3 fo=0 n=196508",
+      "striped-warm ok dt=718 env=3 fo=0 n=196508",
+      "striped-past-chunk0 ok dt=716 env=3 fo=0 n=65536",
+  };
+  const std::vector<std::string> expected_w2 = {
+      "read ok dt=249 env=0 fo=0 n=4096",
+      "read-absent not_found dt=106 env=0 fo=0 n=0",
+      "read-past-eof ok dt=212 env=0 fo=0 n=0",
+      "stat ok dt=106 env=0 fo=0 n=4096",
+      "stat-absent not_found dt=106 env=0 fo=0 n=0",
+      "size-cached ok dt=0 env=0 fo=0 n=4096",
+      "striped-cold ok dt=824 env=6 fo=0 n=196508",
+      "striped-warm ok dt=718 env=6 fo=0 n=196508",
+      "striped-past-chunk0 ok dt=716 env=6 fo=0 n=65536",
+  };
+  EXPECT_EQ(golden_read_trace(0), expected_w0);
+  EXPECT_EQ(golden_read_trace(2), expected_w2);
+}
+
 }  // namespace
 }  // namespace bsc::blob
