@@ -1039,25 +1039,31 @@ Status BlobClient::batched_mutation_wave(std::vector<MutationSub>& subs, SimMicr
   }
 }
 
-Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
-                                  const std::vector<std::uint32_t>& candidates,
+Status BlobClient::read_group_leg(std::span<ReadSub* const> subs,
+                                  const std::vector<std::uint32_t>& candidates, bool plain,
                                   SimMicros start, SimMicros* completion) {
   *completion = start;
   const auto& net = store_->cluster().net();
   const StoreConfig& cfg = store_->config();
   // Quorum candidates actually voted: the group's candidate tuple is sized
-  // for max(R, hedge target), so clamp to R for the vote fan-out.
+  // for max(R, hedge target), so clamp to the subs' vote size.
   const std::uint32_t R = std::min<std::uint32_t>(
-      cfg.read_quorum(), static_cast<std::uint32_t>(candidates.size()));
+      subs.front()->votes, static_cast<std::uint32_t>(candidates.size()));
 
-  // Request descriptor bytes: one header per coalesced run (stat subs never
-  // coalesce). The same descriptor layout goes to every quorum candidate;
-  // payload-vs-digest reply mode rides in the envelope flags byte, which is
-  // part of the kEnvelope overhead.
-  auto envelope_bytes = [](const std::vector<ReadSub*>& list,
-                           std::uint32_t* coalesced) {
-    std::uint64_t req = kEnvelope;
+  // Wire form, decided here once. A plain request carries one sub:
+  // req_bytes(key) out for a read or vote (kProbeReq for a stat), and
+  // kEnvelope + payload back (kProbeResp for a stat or a digest vote), one
+  // Transport::admit verdict, no whole-envelope re-send, no batch
+  // accounting. A batch envelope carries one header per coalesced run
+  // (stat subs never coalesce); payload-vs-digest reply mode rides in the
+  // envelope flags byte, part of the kEnvelope overhead. Its reply carries
+  // per-sub statuses plus, on a payload envelope, the largest single chunk
+  // (chunk payloads stream back in parallel, like independent per-chunk
+  // replies — a vectored run gathers at the NIC, it does not serialize).
+  auto request_bytes = [&](std::span<ReadSub* const> list, std::uint32_t* coalesced) {
     *coalesced = 0;
+    if (plain) return list[0]->stat_only ? kProbeReq : req_bytes(list[0]->ekey);
+    std::uint64_t req = kEnvelope;
     std::size_t r = 0;
     while (r < list.size()) {
       std::size_t e = r + 1;
@@ -1075,16 +1081,63 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
     }
     return req;
   };
-  std::uint32_t coalesced = 0;
-  const std::uint64_t req = envelope_bytes(subs, &coalesced);
+  auto reply_bytes = [&](std::span<ReadSub* const> list,
+                         const std::vector<BlobServer::ReadSubResult>& results,
+                         bool digest_mode) {
+    std::uint64_t max_chunk = 0;
+    for (const auto& res : results) max_chunk = std::max(max_chunk, res.data_len);
+    if (plain) {
+      return list[0]->stat_only || digest_mode ? kProbeResp : kEnvelope + max_chunk;
+    }
+    return kEnvelope + list.size() * batch_substatus_bytes() + (digest_mode ? 0 : max_chunk);
+  };
+  // One sub-op per sub: a payload sub gathers into its caller-buffer slice
+  // (batch) or into a reply buffer sized by the replica (plain); a digest
+  // vote answers (version, digest) from the extent index; a hedge stand-in
+  // is a digest vote charged like the payload read it stands in for.
+  auto make_ops = [&](std::span<ReadSub* const> list, bool digest_mode, bool want_digest,
+                      bool probe_payload) {
+    std::vector<BlobServer::ReadSubOp> ops;
+    ops.reserve(list.size());
+    for (ReadSub* sub : list) {
+      BlobServer::ReadSubOp op;
+      op.key = &sub->ekey;
+      op.off = sub->off;
+      op.len = sub->len;
+      op.stat_only = sub->stat_only;
+      if (!sub->stat_only && digest_mode) {
+        op.digest_only = true;
+        op.probe_payload = probe_payload;
+      } else if (!sub->stat_only) {
+        if (plain) {
+          op.out = &sub->data;
+        } else {
+          op.dst = sub->dst;
+        }
+        op.want_digest = want_digest;
+      }
+      ops.push_back(op);
+    }
+    return ops;
+  };
+  // Serve one request on `srv` (one fault verdict already drawn), with
+  // per-sub completion marks; plain requests are served as read()/stat().
+  auto serve = [&](BlobServer& srv, const std::vector<BlobServer::ReadSubOp>& ops,
+                   std::vector<BlobServer::ReadSubResult>& results,
+                   std::vector<SimMicros>& marks) {
+    results.resize(ops.size());
+    marks.assign(ops.size(), 0);
+    if (plain) {
+      results[0] = srv.read_one(ops[0], &marks[0]);
+    } else {
+      SimMicros svc = 0;
+      srv.read_batch(ops.data(), ops.size(), results.data(), &svc, marks.data());
+    }
+  };
 
-  // One batched envelope against one candidate: deliver (one whole-envelope
-  // re-send after a fresh backoff before giving up — the per-leg fallback
-  // pays one round trip per sub, so a single extra envelope attempt is the
-  // cheaper first response to a transient fault), serve the subs with
-  // per-sub completion marks, charge the reply. Digest-mode envelopes are
-  // answered from the server's extent index — a vote costs a stat, not a
-  // read — and ship (version, digest) instead of payload.
+  // One request against one candidate: deliver (a batch envelope earns one
+  // whole-envelope re-send after a fresh backoff: it stands for many legs),
+  // serve the subs with per-sub completion marks, charge the reply.
   struct CandRun {
     bool delivered = false;
     Errc err = Errc::unavailable;
@@ -1094,26 +1147,26 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
     std::vector<BlobServer::ReadSubResult> results;
     std::vector<SimMicros> sub_done;  ///< per-sub availability at the client
   };
-  auto run_envelope = [&](std::uint32_t rid, const std::vector<ReadSub*>& list,
-                          std::uint64_t reqb, std::uint32_t ncoal,
+  auto run_envelope = [&](std::uint32_t rid, std::span<ReadSub* const> list,
                           bool digest_mode, bool want_digest, SimMicros at) {
     CandRun run;
     BlobServer& srv = store_->server(rid);
-    counters_.batch_envelopes.inc();
-    client_metrics().batch_envelopes.inc();
-    client_metrics().batch_size.add(list.size());
-    for (std::uint32_t c = 0; c < ncoal; ++c) {
-      counters_.coalesced_ops.inc();
-      client_metrics().batch_coalesced.inc();
+    std::uint32_t coalesced = 0;
+    const std::uint64_t reqb = request_bytes(list, &coalesced);
+    const std::uint32_t batch_subs = plain ? 0 : static_cast<std::uint32_t>(list.size());
+    if (!plain) {
+      counters_.batch_envelopes.inc();
+      client_metrics().batch_envelopes.inc();
+      client_metrics().batch_size.add(list.size());
+      counters_.coalesced_ops.add(coalesced);
+      client_metrics().batch_coalesced.add(coalesced);
     }
-    LegDelivery d =
-        try_deliver(srv, at, reqb, static_cast<std::uint32_t>(list.size()));
-    if (!d.ok) {
+    LegDelivery d = try_deliver(srv, at, reqb, batch_subs);
+    if (!d.ok && !plain) {
       counters_.batch_retries.inc();
       client_metrics().batch_retries.inc();
       SimMicros prev = cfg.retry.backoff_base_us;
-      d = try_deliver(srv, d.failed_at + next_backoff(&prev), reqb,
-                      static_cast<std::uint32_t>(list.size()));
+      d = try_deliver(srv, d.failed_at + next_backoff(&prev), reqb, batch_subs);
     }
     if (!d.ok) {
       run.err = d.err;
@@ -1122,40 +1175,9 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
     }
     run.delivered = true;
     run.attempt_start = d.attempt_start;
-    std::vector<BlobServer::ReadSubOp> ops;
-    ops.reserve(list.size());
-    for (ReadSub* sub : list) {
-      BlobServer::ReadSubOp op;
-      op.key = &sub->ekey;
-      op.off = sub->off;
-      op.stat_only = sub->stat_only;
-      if (digest_mode && !sub->stat_only) {
-        op.digest_only = true;
-        op.len = sub->dst.size();
-      } else {
-        op.dst = sub->dst;
-        op.want_digest = want_digest && !sub->stat_only;
-      }
-      ops.push_back(op);
-    }
-    run.results.resize(list.size());
-    std::vector<SimMicros> marks(list.size(), 0);
-    SimMicros svc = 0;
-    srv.read_batch(ops.data(), ops.size(), run.results.data(), &svc, marks.data());
-
-    // Reply: per-sub statuses, plus the largest single chunk's payload on a
-    // payload envelope (chunk payloads stream back in parallel, like
-    // independent per-chunk replies — a vectored run gathers at the NIC, it
-    // does not serialize). Digest replies ship marks only.
-    std::uint64_t reply =
-        kEnvelope + list.size() * batch_substatus_bytes();
-    if (!digest_mode) {
-      std::uint64_t max_chunk = 0;
-      for (const auto& res : run.results) {
-        max_chunk = std::max(max_chunk, res.data_len);
-      }
-      reply += max_chunk;
-    }
+    std::vector<SimMicros> marks;
+    serve(srv, make_ops(list, digest_mode, want_digest, false), run.results, marks);
+    const std::uint64_t reply = reply_bytes(list, run.results, digest_mode);
     // Chained serve: per-sub deltas leave the node's FCFS busy-until
     // identical to one serve(total); sub j streams out at its own mark
     // (same pipelining argument as mutation_group_leg).
@@ -1169,114 +1191,81 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
       run.sub_done[j] = node_done + net.transfer_us(reply) + d.extra_latency_us;
     }
     run.comp = node_done + net.transfer_us(reply) + d.extra_latency_us;
+    // Epoch stamp: a reply from a membership newer than the one a sub was
+    // placed at may come from a replica its data has left; the wave re-runs.
+    for (ReadSub* sub : list) {
+      if (srv.ring_epoch() > sub->epoch) sub->stale = true;
+    }
     return run;
   };
 
-  // Whole-group degradation to per-leg legs (replica failover and quorum
-  // arbitration live inside read_leg/stat_leg). Only reachable with a fault
-  // injector installed — always sequential. Destinations are re-zeroed
-  // because an earlier candidate envelope may have partially gathered.
-  auto per_leg_fallback = [&](SimMicros t) -> Status {
-    SimMicros done = t;
-    for (ReadSub* sub : subs) {
-      SimMicros comp = t;
-      if (sub->stat_only) {
-        auto s = stat_leg(sub->ekey, t, &comp);
-        done = std::max(done, comp);
-        if (s.ok()) {
-          sub->err = Errc::ok;
-          sub->size = s.value().size;
-          sub->version = s.value().version;
-        } else if (s.error().code == Errc::not_found) {
-          sub->err = Errc::not_found;
-        } else {
-          *completion = done;
-          return s.error();
-        }
-        continue;
+  // The one failover rule: every sub of an undelivered request moves off
+  // that candidate to its own next live replica, suspects last, and is
+  // re-sent, regrouped, from the failure time; a sub left with fewer live
+  // replicas than its vote needs fails the read.
+  auto move_off = [&](std::uint32_t rid, std::span<ReadSub* const> list,
+                      const CandRun& run) -> Status {
+    *completion = std::max(*completion, run.failed_at);
+    for (ReadSub* sub : list) {
+      std::erase(sub->replicas, rid);
+      if (sub->replicas.size() < std::max<std::uint32_t>(1, sub->votes)) {
+        return {run.err, (sub->votes > 1 ? "read quorum unreachable: " : "unreachable: ") +
+                             sub->ekey};
       }
+      demote_suspects(sub->replicas);
+      counters_.failovers.inc();
+      sub->moved = true;
+      sub->ready = run.failed_at;
+      // An earlier candidate of the group may already have gathered into it.
       std::fill(sub->dst.begin(), sub->dst.end(), std::byte{0});
-      sub->latency_us = 0;  // read_leg feeds read_latency_ itself
-      auto r = read_leg(sub->ekey, sub->off, sub->dst.size(), t, &comp);
-      done = std::max(done, comp);
-      if (r.ok()) {
-        const Bytes& part = r.value().data;
-        std::copy(part.begin(), part.end(), sub->dst.begin());
-        sub->err = Errc::ok;
-        sub->data_len = part.size();
-        sub->covered = r.value().covered;
-      } else if (r.error().code == Errc::not_found) {
-        sub->err = Errc::not_found;  // whole chunk is a hole
-      } else {
-        *completion = done;
-        return r.error();
-      }
     }
-    *completion = done;
     return Status::success();
   };
 
-  // Fan one envelope to each of the R quorum candidates: full payload from
+  // Fan one request to each of the R quorum candidates: full payload from
   // candidates[0], digest-only version votes from the rest, all forked from
-  // the same instant — the single-envelope-per-primary path survives R > 1
-  // with ~1x payload bytes on the wire instead of Rx.
+  // the same instant — ~1x payload bytes on the wire instead of Rx.
   std::vector<CandRun> cand(R);
   for (std::uint32_t j = 0; j < R; ++j) {
-    cand[j] = run_envelope(candidates[j], subs, req, coalesced,
-                           /*digest_mode=*/j > 0, /*want_digest=*/R > 1, start);
-    if (!cand[j].delivered) return per_leg_fallback(cand[j].failed_at);
+    cand[j] = run_envelope(candidates[j], subs, /*digest_mode=*/j > 0,
+                           /*want_digest=*/R > 1, start);
+    if (!cand[j].delivered) return move_off(candidates[j], subs, cand[j]);
     if (j > 0) {
       counters_.quorum_probes.inc();
       client_metrics().quorum_probes.inc();
       std::uint64_t avoided = 0;
-      for (const auto& res : cand[j].results) {
-        avoided = std::max(avoided, res.data_len);
-      }
+      for (const auto& res : cand[j].results) avoided = std::max(avoided, res.data_len);
       counters_.quorum_digest_savings_bytes.add(avoided);
       client_metrics().quorum_digest_savings.add(avoided);
     }
   }
 
-  // Hedging composes on the batched path: a payload envelope running past
-  // the hedge delay arms a duplicate payload-sized request to candidates[1]
-  // at attempt_start + delay, and the client takes the earlier completion
-  // when the hedged replica's per-sub versions prove its payload
-  // byte-identical (at R == 1 every live replica holds every acked write,
-  // so matching versions are the common case). The hedge serve runs in
-  // digest mode so the caller's buffer keeps a single writer, but with
-  // probe_payload set it is charged like the real payload read it stands in
-  // for, and the reply is charged at full payload size — it is the payload
-  // that would have won.
+  // Hedging: a payload request running past the hedge delay arms a
+  // duplicate to candidates[1] at attempt_start + delay, and the client
+  // takes the earlier completion when the hedged replica's per-sub versions
+  // prove its payload byte-identical (at R == 1 every live replica holds
+  // every acked write, so matching versions are the common case). A suspect
+  // payload replica is hedged against at half the delay. The hedge is
+  // served as a digest vote so the caller's buffer keeps a single writer,
+  // but it is charged like the payload read it stands in for, and its reply
+  // at full payload size — it is the payload that would have won.
   {
-    BlobServer& prim_srv = store_->server(candidates[0]);
     SimMicros delay = hedge_delay();
-    if (delay > 1 && is_suspect(prim_srv.node().id())) delay /= 2;
+    if (delay > 1 && is_suspect(store_->server(candidates[0]).node().id())) delay /= 2;
     if (delay > 0 && candidates.size() > 1 &&
         cand[0].comp - cand[0].attempt_start > delay) {
       counters_.hedges.inc();
       BlobServer& alt = store_->server(candidates[1]);
       const SimMicros h_start = cand[0].attempt_start + delay;
-      AttemptPlan hp =
-          plan_attempt(alt, h_start, req, static_cast<std::uint32_t>(subs.size()));
+      std::uint32_t coalesced = 0;
+      const std::uint64_t req = request_bytes(subs, &coalesced);
+      AttemptPlan hp = plan_attempt(alt, h_start, req,
+                                    plain ? 0 : static_cast<std::uint32_t>(subs.size()));
       if (hp.delivered) {
-        std::vector<BlobServer::ReadSubOp> hops;
-        hops.reserve(subs.size());
-        for (ReadSub* sub : subs) {
-          BlobServer::ReadSubOp op;
-          op.key = &sub->ekey;
-          op.off = sub->off;
-          op.stat_only = sub->stat_only;
-          if (!sub->stat_only) {
-            op.digest_only = true;
-            op.probe_payload = true;
-            op.len = sub->dst.size();
-          }
-          hops.push_back(op);
-        }
-        std::vector<BlobServer::ReadSubResult> hres(subs.size());
-        std::vector<SimMicros> hmarks(subs.size(), 0);
-        SimMicros hsvc = 0;
-        alt.read_batch(hops.data(), hops.size(), hres.data(), &hsvc, hmarks.data());
+        std::vector<BlobServer::ReadSubResult> hres;
+        std::vector<SimMicros> hmarks;
+        serve(alt, make_ops(subs, /*digest_mode=*/true, false, /*probe_payload=*/true), hres,
+              hmarks);
         bool same = true;
         for (std::size_t k = 0; k < subs.size(); ++k) {
           if (subs[k]->stat_only) continue;
@@ -1286,18 +1275,14 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
           }
         }
         if (same) {
-          std::uint64_t reply = kEnvelope + subs.size() * batch_substatus_bytes();
-          std::uint64_t max_chunk = 0;
-          for (const auto& res : hres) max_chunk = std::max(max_chunk, res.data_len);
-          reply += max_chunk;
+          const std::uint64_t reply = reply_bytes(subs, hres, /*digest_mode=*/false);
           const SimMicros harr = h_start + net.transfer_us(req) + hp.extra_latency_us;
           SimMicros hdone = harr;
           SimMicros prev_mark = 0;
           for (std::size_t k = 0; k < subs.size(); ++k) {
             hdone = alt.node().serve(harr, hmarks[k] - prev_mark);
             prev_mark = hmarks[k];
-            const SimMicros avail =
-                hdone + net.transfer_us(reply) + hp.extra_latency_us;
+            const SimMicros avail = hdone + net.transfer_us(reply) + hp.extra_latency_us;
             cand[0].sub_done[k] = std::min(cand[0].sub_done[k], avail);
           }
           cand[0].comp = std::min(
@@ -1305,6 +1290,13 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
         }
       }
     }
+  }
+  // A plain reply's latency is one request's: it feeds the serving node's
+  // latency EWMA (gray-failure suspicion). A batch envelope's latency grows
+  // with its sub count, so it would read a busy node as a slow one.
+  if (plain && !subs.front()->stat_only) {
+    health_on_success(store_->server(candidates[0]).node().id(),
+                      cand[0].comp - cand[0].attempt_start);
   }
 
   // Default every sub to the payload candidate's result (the payload is
@@ -1328,18 +1320,17 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
     // Per-sub version vote across the R replies. The payload wins at the
     // max version, or below it with a byte-identical span digest (a version
     // bump that did not change this span); otherwise the sub is stale and
-    // is re-fetched — one payload envelope per winning replica, forked at
+    // is re-fetched — one payload request per winning replica, forked at
     // the vote barrier, so the winning payload still crosses the wire once.
+    // A stat sub takes the max-version responder's stat, and is absent only
+    // when every responder reports absent.
     std::map<std::uint32_t, std::vector<ReadSub*>> refetch;  // cand idx -> subs
     for (std::size_t k = 0; k < subs.size(); ++k) {
       ReadSub* sub = subs[k];
       // A sub's reply is arbitrated once every vote for it has landed.
       SimMicros avail = 0;
-      for (std::uint32_t j = 0; j < R; ++j) {
-        avail = std::max(avail, cand[j].sub_done[k]);
-      }
-      sub->latency_us =
-          avail > cand[0].attempt_start ? avail - cand[0].attempt_start : 0;
+      for (std::uint32_t j = 0; j < R; ++j) avail = std::max(avail, cand[j].sub_done[k]);
+      sub->latency_us = avail > cand[0].attempt_start ? avail - cand[0].attempt_start : 0;
       Version maxv = 0;
       std::uint32_t win = 0;
       bool any = false;
@@ -1353,28 +1344,16 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
         }
       }
       if (sub->stat_only) {
-        // Mirror quorum_probe: the max-version responder's stat wins;
-        // absent only when every responder reports absent.
-        if (!any) {
-          sub->err = Errc::not_found;
-          sub->size = 0;
-          sub->version = 0;
-        } else {
-          sub->err = Errc::ok;
-          sub->size = cand[win].results[k].size;
-          sub->version = maxv;
-        }
+        sub->err = any ? Errc::ok : Errc::not_found;
+        sub->size = any ? cand[win].results[k].size : 0;
+        sub->version = maxv;
         continue;
       }
       if (!any) continue;  // absent everywhere: the chunk is a hole
       const auto& r0 = cand[0].results[k];
-      if (r0.err == Errc::ok && r0.version >= maxv) {
-        counters_.quorum_winners.inc();
-        client_metrics().quorum_winners.inc();
-        continue;
-      }
-      if (r0.err == Errc::ok && r0.digest != 0 &&
-          r0.digest == cand[win].results[k].digest) {
+      if (r0.err == Errc::ok &&
+          (r0.version >= maxv ||
+           (r0.digest != 0 && r0.digest == cand[win].results[k].digest))) {
         sub->version = maxv;
         counters_.quorum_winners.inc();
         client_metrics().quorum_winners.inc();
@@ -1387,38 +1366,12 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
       // The stale payload may cover spans the fresh version leaves as
       // holes; re-zero before gathering so read_into's pre-zeroed-dst
       // contract holds.
-      for (ReadSub* sub : list) {
-        std::fill(sub->dst.begin(), sub->dst.end(), std::byte{0});
-      }
-      std::uint32_t rcoal = 0;
-      const std::uint64_t rreq = envelope_bytes(list, &rcoal);
-      CandRun rr = run_envelope(candidates[win], list, rreq, rcoal,
-                                /*digest_mode=*/false, /*want_digest=*/false,
-                                done);
+      for (ReadSub* sub : list) std::fill(sub->dst.begin(), sub->dst.end(), std::byte{0});
+      CandRun rr = run_envelope(candidates[win], list, /*digest_mode=*/false,
+                                /*want_digest=*/false, done);
       if (!rr.delivered) {
-        // Injector-only: degrade the stale subs to per-leg reads.
-        SimMicros t = rr.failed_at;
-        for (ReadSub* sub : list) {
-          std::fill(sub->dst.begin(), sub->dst.end(), std::byte{0});
-          SimMicros comp = t;
-          auto rl = read_leg(sub->ekey, sub->off, sub->dst.size(), t, &comp);
-          done = std::max(done, comp);
-          counters_.quorum_refetches.inc();
-          client_metrics().quorum_refetches.inc();
-          sub->latency_us = 0;  // read_leg feeds read_latency_ itself
-          if (rl.ok()) {
-            const Bytes& part = rl.value().data;
-            std::copy(part.begin(), part.end(), sub->dst.begin());
-            sub->err = Errc::ok;
-            sub->data_len = part.size();
-            sub->covered = rl.value().covered;
-          } else if (rl.error().code == Errc::not_found) {
-            sub->err = Errc::not_found;
-          } else {
-            *completion = done;
-            return rl.error();
-          }
-        }
+        Status moved = move_off(candidates[win], list, rr);
+        if (!moved.ok()) return moved;
         continue;
       }
       for (std::size_t i = 0; i < list.size(); ++i) {
@@ -1427,6 +1380,7 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
         sub->err = r.err;
         sub->data_len = r.data_len;
         sub->covered = r.covered;
+        sub->size = r.size;
         sub->version = r.version;
         sub->latency_us = rr.sub_done[i] > cand[0].attempt_start
                               ? rr.sub_done[i] - cand[0].attempt_start
@@ -1438,64 +1392,126 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
     }
   }
 
-  *completion = done;
+  *completion = std::max(*completion, done);
   return Status::success();
 }
 
-BlobClient::ProbeRound BlobClient::quorum_probe(const std::string& ekey,
-                                                const std::vector<std::uint32_t>& lives,
-                                                std::uint32_t quorum, SimMicros start) {
-  const auto& net = store_->cluster().net();
-  ProbeRound out;
-  struct Probe {
-    std::uint32_t rid;
-    Version v;
-    SimMicros done;
-    BlobStat stat;
-    bool found;
-  };
-  std::vector<Probe> got;
-  SimMicros slowest = start;
-  Errc last_err = Errc::unavailable;
-  for (std::uint32_t rid : lives) {
-    if (got.size() >= quorum) break;
-    BlobServer& srv = store_->server(rid);
-    LegDelivery d = try_deliver(srv, start, kProbeReq);
-    if (!d.ok) {
-      slowest = std::max(slowest, d.failed_at);
-      last_err = d.err;
-      continue;
+Status BlobClient::read_wave(std::span<ReadSub* const> subs, bool plain) {
+  const StoreConfig& cfg = store_->config();
+  const std::uint32_t R = cfg.read_quorum();
+  // A group's candidate tuple: its R vote replicas, plus a hedge target.
+  const std::size_t K = std::max<std::uint32_t>(R, cfg.hedge.enabled ? 2 : 1);
+  const SimMicros start = agent_ ? agent_->now() : 0;
+  SimMicros done = start;
+  Status fail = Status::success();
+  for (int pass = 0;; ++pass) {
+    // Placement: a lone sub resolves through the placement cache on its
+    // first pass, as a plain mutation leg does; a striped wave is placed
+    // fresh. Candidates are the live replicas in replica order; a lone sub
+    // puts suspects last up front, while a striped sub keeps its envelope
+    // group and demotes suspects only when it moves.
+    for (ReadSub* sub : subs) {
+      const Placement p =
+          plain && pass == 0 ? locate(sub->ekey) : store_->placement_of(sub->ekey);
+      if (p.replicas.empty()) return {Errc::no_space, "no storage nodes in ring"};
+      sub->replicas.clear();
+      for (std::uint32_t rid : p.replicas) {
+        if (!store_->is_down(rid)) sub->replicas.push_back(rid);
+      }
+      if (sub->replicas.empty()) return {Errc::unavailable, "all replicas down: " + sub->ekey};
+      if (plain) demote_suspects(sub->replicas);
+      sub->votes = std::min<std::uint32_t>(R, static_cast<std::uint32_t>(sub->replicas.size()));
+      sub->epoch = p.epoch;
+      sub->ready = done;
+      sub->moved = true;
+      sub->stale = false;
+      if (pass > 0) std::fill(sub->dst.begin(), sub->dst.end(), std::byte{0});
     }
-    SimMicros svc = 0;
-    auto s = srv.stat(ekey, &svc);
-    const SimMicros arr = d.attempt_start + net.transfer_us(kProbeReq) + d.extra_latency_us;
-    const SimMicros pdone =
-        srv.node().serve(arr, svc) + net.transfer_us(kProbeResp) + d.extra_latency_us;
-    got.push_back({rid, s.ok() ? s.value().version : 0, pdone,
-                   s.ok() ? s.value() : BlobStat{ekey, 0, 0}, s.ok()});
+
+    // Group the subs still to send by their candidate tuple; subs sharing a
+    // tuple share all of its requests, so a group costs its candidates'
+    // queueing trips regardless of its sub count. Groups are formed and
+    // ordered by chunk index: deterministic, independent of timing.
+    std::vector<ReadSub*> pending(subs.begin(), subs.end());
+    while (!pending.empty() && fail.ok()) {
+      struct Group {
+        std::vector<std::uint32_t> candidates;
+        std::vector<ReadSub*> subs;
+        SimMicros start = 0;
+        Status status = Status::success();
+        SimMicros completion = 0;
+      };
+      std::map<std::vector<std::uint32_t>, Group> by_cands;
+      for (ReadSub* sub : pending) {
+        std::vector<std::uint32_t> tuple(
+            sub->replicas.begin(),
+            sub->replicas.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(K, sub->replicas.size())));
+        Group& g = by_cands[tuple];
+        g.candidates = std::move(tuple);
+        g.subs.push_back(sub);
+        g.start = std::max(g.start, sub->ready);
+        sub->moved = false;
+      }
+      std::vector<Group> groups;
+      groups.reserve(by_cands.size());
+      for (auto& [c, g] : by_cands) groups.push_back(std::move(g));
+      std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
+        return a.subs.front()->chunk < b.subs.front()->chunk;
+      });
+      // Wall-clock fan-out across groups; with a fault injector installed,
+      // the sequential order keeps verdict draws deterministic. Groups that
+      // share a node book its queue in wall-clock order when fanned out.
+      const bool parallel = groups.size() > 1 &&
+                            store_->transport().fault_injector() == nullptr &&
+                            std::thread::hardware_concurrency() > 1;
+      const auto run = [&](Group& g) {
+        g.status = read_group_leg(g.subs, g.candidates, plain, g.start, &g.completion);
+      };
+      if (parallel) {
+        pool().parallel_for(groups.size(), [&](std::size_t gi) { run(groups[gi]); });
+      } else {
+        for (Group& g : groups) run(g);
+      }
+      pending.clear();
+      for (Group& g : groups) {
+        done = std::max(done, g.completion);
+        if (fail.ok() && !g.status.ok()) fail = g.status;
+        for (ReadSub* sub : g.subs) {
+          if (sub->moved) pending.push_back(sub);
+        }
+      }
+    }
+
+    // The one epoch rule: a reply stamped with a ring epoch newer than the
+    // one a sub was placed at means membership moved under the placement —
+    // the data may have left the replica that answered. Flush, re-place
+    // and re-run the wave from its completion (the wasted round is paid).
+    const bool stale = std::ranges::any_of(subs, [](const ReadSub* s) { return s->stale; });
+    if (!fail.ok() || !stale || pass >= 2) break;
+    for (ReadSub* sub : subs) place_flush(sub->ekey);
+    counters_.epoch_refreshes.inc();
+    client_metrics().epoch_refreshes.inc();
+    counters_.stale_epoch_retries.inc();
+    client_metrics().stale_retries.inc();
   }
-  if (got.size() < quorum) {
-    out.done = slowest;
-    out.err = last_err;
-    return out;
-  }
-  out.ok = true;
-  out.done = start;
-  Version maxv = 0;
-  bool any_found = false;
-  for (const Probe& p : got) {
-    out.done = std::max(out.done, p.done);
-    any_found = any_found || p.found;
-    maxv = std::max(maxv, p.v);
-  }
-  out.found = any_found;
-  for (const Probe& p : got) {
-    if (p.found && p.v == maxv) {
-      if (out.fresh.empty()) out.stat = p.stat;
-      out.fresh.push_back(p.rid);
+  if (agent_) agent_->advance_to(done);
+  // Completion marks feed the hedging histogram after the barrier, on the
+  // caller's thread (the histogram is not thread-safe and groups may fan
+  // out on the pool).
+  for (const ReadSub* sub : subs) {
+    if (!sub->stat_only && sub->latency_us > 0) {
+      read_latency_.add(static_cast<std::uint64_t>(sub->latency_us));
     }
   }
-  return out;
+  return fail;
+}
+
+Status BlobClient::lone_leg(ReadSub& sub) {
+  ReadSub* const one = &sub;
+  Status st = read_wave({&one, 1}, /*plain=*/true);
+  if (st.ok() && sub.err != Errc::ok) return {sub.err, sub.ekey};
+  return st;
 }
 
 SimMicros BlobClient::hedge_delay() const {
@@ -1505,194 +1521,6 @@ SimMicros BlobClient::hedge_delay() const {
     return static_cast<SimMicros>(read_latency_.percentile(h.percentile));
   }
   return h.fixed_delay_us;
-}
-
-Result<ReadOutcome> BlobClient::read_leg(const std::string& ekey, std::uint64_t off,
-                                         std::uint64_t len, SimMicros start,
-                                         SimMicros* completion) {
-  *completion = start;
-  const auto& net = store_->cluster().net();
-  const std::uint64_t req = req_bytes(ekey);
-  const std::uint32_t R = store_->config().read_quorum();
-
-  // Stale-epoch retry loop: a delivered reply stamped with a ring epoch
-  // newer than the one this leg's placement was computed at means
-  // membership moved under the cached entry — the data may have migrated
-  // off the contacted replica entirely. Flush the entry, refetch the
-  // placement, and re-run the leg from the stale round's completion time
-  // (the wasted round trip is paid, not hidden).
-  for (int pass = 0;; ++pass) {
-    const Placement p =
-        pass == 0 ? locate(ekey) : store_->placement_of(ekey);
-    if (p.replicas.empty()) return {Errc::no_space, "no storage nodes in ring"};
-    std::vector<std::uint32_t> lives;
-    for (std::uint32_t rid : p.replicas) {
-      if (!store_->is_down(rid)) lives.push_back(rid);
-    }
-    if (lives.empty()) return {Errc::unavailable, "all replicas down: " + ekey};
-
-    // Candidate servers to read from, in preference order. With R == 1
-    // every live replica is equally fresh (writes ack on all live
-    // replicas); with R > 1 a version-probe round first finds the freshest
-    // responders. Suspect replicas (open/half-open breaker, or a latency
-    // EWMA far above the fleet — gray failure) are demoted to the back:
-    // still reachable for availability, tried last.
-    std::vector<std::uint32_t> candidates = lives;
-    SimMicros t = start;
-    if (R > 1) {
-      ProbeRound probe = quorum_probe(
-          ekey, lives, std::min<std::uint32_t>(R, lives.size()), start);
-      if (!probe.ok) {
-        *completion = probe.done;
-        return {probe.err, "read quorum unreachable: " + ekey};
-      }
-      t = probe.done;  // barrier: arbitration needs all R probe replies
-      if (!probe.found) {
-        *completion = t;
-        return {Errc::not_found, ekey};
-      }
-      candidates = probe.fresh;
-    }
-    demote_suspects(candidates);
-
-    bool stale = false;
-    Error last{Errc::unavailable, "unreachable: " + ekey};
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (i > 0) counters_.failovers.inc();
-      BlobServer& srv = store_->server(candidates[i]);
-      LegDelivery d = try_deliver(srv, t, req);
-      if (!d.ok) {
-        t = d.failed_at;
-        last = {d.err, "unreachable: " + ekey};
-        continue;
-      }
-      SimMicros svc = 0;
-      auto r = srv.read(ekey, off, len, &svc);
-      const std::uint64_t resp = kEnvelope + (r.ok() ? r.value().data.size() : 0);
-      const SimMicros arr = d.attempt_start + net.transfer_us(req) + d.extra_latency_us;
-      SimMicros comp =
-          srv.node().serve(arr, svc) + net.transfer_us(resp) + d.extra_latency_us;
-
-      // Stale-epoch stamp check, before the reply is trusted: the replica
-      // answered, but from a membership the client no longer shares.
-      if (srv.ring_epoch() > p.epoch && pass < 2) {
-        place_flush(ekey);
-        counters_.epoch_refreshes.inc();
-        client_metrics().epoch_refreshes.inc();
-        counters_.stale_epoch_retries.inc();
-        client_metrics().stale_retries.inc();
-        start = comp;
-        stale = true;
-        break;
-      }
-
-      // Hedging: when this leg ran past the hedge delay, a speculative copy
-      // of the request goes to the next equally fresh candidate, and the
-      // caller takes whichever reply lands first (contents are identical).
-      // A suspect serving replica is hedged against at half the delay — the
-      // whole point of tracking gray failure is not waiting the full p99
-      // on a node already known to be slow.
-      SimMicros delay = hedge_delay();
-      if (delay > 1 && is_suspect(srv.node().id())) delay /= 2;
-      if (delay > 0 && comp - d.attempt_start > delay && i + 1 < candidates.size()) {
-        counters_.hedges.inc();
-        BlobServer& alt = store_->server(candidates[i + 1]);
-        const SimMicros h_start = d.attempt_start + delay;
-        AttemptPlan hp = plan_attempt(alt, h_start, req);
-        if (hp.delivered) {
-          SimMicros hsvc = 0;
-          auto hr = alt.read(ekey, off, len, &hsvc);
-          if (hr.ok() == r.ok()) {
-            const SimMicros h_arr =
-                h_start + net.transfer_us(req) + hp.extra_latency_us;
-            const SimMicros h_comp = alt.node().serve(h_arr, hsvc) +
-                                     net.transfer_us(resp) + hp.extra_latency_us;
-            comp = std::min(comp, h_comp);
-          }
-        }
-      }
-      read_latency_.add(static_cast<std::uint64_t>(comp - d.attempt_start));
-      health_on_success(srv.node().id(), comp - d.attempt_start);
-      *completion = comp;
-      return r;  // a delivered reply is authoritative, not_found included
-    }
-    if (stale) continue;
-    *completion = t;
-    return last;
-  }
-}
-
-Result<BlobStat> BlobClient::stat_leg(const std::string& ekey, SimMicros start,
-                                      SimMicros* completion) {
-  *completion = start;
-  const std::uint32_t R = store_->config().read_quorum();
-  const auto& net = store_->cluster().net();
-
-  // Same stale-epoch retry loop as read_leg (see there for the argument).
-  for (int pass = 0;; ++pass) {
-    const Placement p =
-        pass == 0 ? locate(ekey) : store_->placement_of(ekey);
-    if (p.replicas.empty()) return {Errc::no_space, "no storage nodes in ring"};
-    std::vector<std::uint32_t> lives;
-    for (std::uint32_t rid : p.replicas) {
-      if (!store_->is_down(rid)) lives.push_back(rid);
-    }
-    if (lives.empty()) return {Errc::unavailable, "all replicas down: " + ekey};
-
-    if (R > 1) {
-      ProbeRound probe = quorum_probe(
-          ekey, lives, std::min<std::uint32_t>(R, lives.size()), start);
-      *completion = probe.done;
-      if (probe.ok && store_->server(lives.front()).ring_epoch() > p.epoch &&
-          pass < 2) {
-        place_flush(ekey);
-        counters_.epoch_refreshes.inc();
-        client_metrics().epoch_refreshes.inc();
-        counters_.stale_epoch_retries.inc();
-        client_metrics().stale_retries.inc();
-        start = probe.done;
-        continue;
-      }
-      if (!probe.ok) return {probe.err, "read quorum unreachable: " + ekey};
-      if (!probe.found) return {Errc::not_found, ekey};
-      return probe.stat;
-    }
-
-    bool stale = false;
-    SimMicros t = start;
-    Error last{Errc::unavailable, "unreachable: " + ekey};
-    for (std::size_t i = 0; i < lives.size(); ++i) {
-      if (i > 0) counters_.failovers.inc();
-      BlobServer& srv = store_->server(lives[i]);
-      LegDelivery d = try_deliver(srv, t, kProbeReq);
-      if (!d.ok) {
-        t = d.failed_at;
-        last = {d.err, "unreachable: " + ekey};
-        continue;
-      }
-      SimMicros svc = 0;
-      auto s = srv.stat(ekey, &svc);
-      const SimMicros arr =
-          d.attempt_start + net.transfer_us(kProbeReq) + d.extra_latency_us;
-      *completion =
-          srv.node().serve(arr, svc) + net.transfer_us(kProbeResp) + d.extra_latency_us;
-      if (srv.ring_epoch() > p.epoch && pass < 2) {
-        place_flush(ekey);
-        counters_.epoch_refreshes.inc();
-        client_metrics().epoch_refreshes.inc();
-        counters_.stale_epoch_retries.inc();
-        client_metrics().stale_retries.inc();
-        start = *completion;
-        stale = true;
-        break;
-      }
-      if (!s.ok()) return s.error();
-      return s;
-    }
-    if (stale) continue;
-    *completion = t;
-    return last;
-  }
 }
 
 Status BlobClient::create(std::string_view key) {
@@ -1734,80 +1562,62 @@ Status BlobClient::remove(std::string_view key) {
 }
 
 Result<Bytes> BlobClient::read(std::string_view key, std::uint64_t offset,
-                               std::uint64_t len) {
+                               std::uint64_t len, BlobStat* served) {
   counters_.reads.inc();
   PrimTimer timer(client_metrics().read, agent_, key);
   OpBudget budget(*this, agent_ ? agent_->now() : 0);
   const std::uint64_t cb = store_->config().chunk_bytes;
-  if (cb == 0 || offset + len <= cb) {
-    // Single-chunk fast path: one leg (failover/quorum logic inside).
-    const SimMicros start = agent_ ? agent_->now() : 0;
-    SimMicros comp = start;
-    auto r = read_leg(std::string{key}, offset, len, start, &comp);
-    if (agent_) agent_->advance_to(comp);
-    if (!r.ok()) return r.error();
-    // bytes_read counts extent-backed bytes only; zero-filled hole bytes in
-    // the returned span are accounted separately in read_hole_bytes.
-    const std::uint64_t covered = r.value().covered;
+  // bytes_read counts extent-backed bytes only; zero-filled hole bytes in
+  // the returned span are accounted separately in read_hole_bytes.
+  const auto account = [this](std::uint64_t returned, std::uint64_t covered) {
     counters_.bytes_read.add(covered);
-    counters_.read_hole_bytes.add(r.value().data.size() - covered);
-    client_metrics().read_bytes.add(r.value().data.size());
-    client_metrics().read_hole_bytes.add(r.value().data.size() - covered);
-    return std::move(r.value().data);
+    counters_.read_hole_bytes.add(returned - covered);
+    client_metrics().read_bytes.add(returned);
+    client_metrics().read_hole_bytes.add(returned - covered);
+  };
+  if (cb == 0 || (len <= cb && offset <= cb - len)) {
+    // A lone read: one plain request, its reply clipped at EOF.
+    ReadSub sub{.ekey = std::string{key}, .off = offset, .len = len};
+    Status st = lone_leg(sub);
+    if (!st.ok()) return st.error();
+    if (served) *served = {sub.ekey, sub.size, sub.version};
+    account(sub.data.size(), sub.covered);
+    return std::move(sub.data);
   }
 
   // Striped read: chunk sub-ops grouped by candidate replica set, one batch
   // envelope per candidate (R > 1 and hedged reads arbitrate per-sub versions
   // inside the envelopes, see read_group_leg). The client metadata cache
-  // supplies the layout; a stat sub piggybacked on the data envelopes
+  // supplies the layout — a miss pays one stat round, which is the complete
+  // answer for an absent blob; a stat sub piggybacked on the data envelopes
   // verifies it (mismatch = relayout and re-read).
   const std::string base{key};
-  MetaEntry entry;
-  if (const auto it = meta_cache_.find(base); it != meta_cache_.end()) {
-    entry = it->second;
-    counters_.metacache_hits.inc();
-    client_metrics().metacache_hits.inc();
-  } else {
-    counters_.metacache_misses.inc();
-    client_metrics().metacache_misses.inc();
-    // One charged stat round primes the cache — and is the complete answer
-    // for an absent blob.
-    const SimMicros s0 = agent_ ? agent_->now() : 0;
-    SimMicros comp = s0;
-    auto s = stat_leg(base, s0, &comp);
-    if (agent_) agent_->advance_to(comp);
-    if (!s.ok()) return s.error();
-    entry = {s.value().size, s.value().version};
-    cache_put(base, entry);
-  }
+  auto cached = cached_stat(base);
+  if (!cached.ok()) return cached.error();
+  MetaEntry entry{cached.value().size, cached.value().version};
 
   for (int attempt = 0;; ++attempt) {
     const std::uint64_t logical = entry.logical;
     const std::uint64_t rlen =
         offset < logical ? std::min(len, logical - offset) : 0;
     if (rlen == 0) {
-      // At/after EOF per the cached size: verify with one charged stat round
-      // (there is no data envelope to piggyback on) instead of shipping a
+      // At/after EOF per the cached size: verify with one stat round (there
+      // is no data envelope to piggyback on) instead of shipping a
       // full-length probe leg.
-      const SimMicros s0 = agent_ ? agent_->now() : 0;
-      SimMicros comp = s0;
-      auto s = stat_leg(base, s0, &comp);
-      if (agent_) agent_->advance_to(comp);
-      if (!s.ok()) {
+      ReadSub stat{.ekey = base, .stat_only = true};
+      Status st = lone_leg(stat);
+      if (!st.ok()) {
         cache_erase(base);
-        return s.error();
+        return st.error();
       }
-      cache_put(base, {s.value().size, s.value().version});
-      if (attempt < 2 && offset < s.value().size) {
-        entry = {s.value().size, s.value().version};
-        continue;  // cached size was stale: there is data after all
-      }
+      entry = {stat.size, stat.version};
+      cache_put(base, entry);
+      if (attempt < 2 && offset < stat.size) continue;  // stale: there is data after all
+      if (served) *served = {base, stat.size, stat.version};
       client_metrics().read_bytes.add(0);
       return Bytes{};
     }
 
-    const SimMicros start = agent_ ? agent_->now() : 0;
-    const std::uint64_t epoch0 = store_->ring_epoch();
     Bytes out(rlen, std::byte{0});  // holes and absent chunks read as zero
     const std::uint64_t end = offset + rlen;
     std::vector<ReadSub> subs;
@@ -1815,120 +1625,40 @@ Result<Bytes> BlobClient::read(std::string_view key, std::uint64_t offset,
     for (std::uint64_t c = offset / cb; c * cb < end; ++c) {
       const std::uint64_t lo = std::max(offset, c * cb);
       const std::uint64_t hi = std::min(end, (c + 1) * cb);
-      ReadSub sub;
-      sub.ekey = chunk_engine_key(key, c);
-      sub.chunk = c;
-      sub.off = lo - c * cb;
-      sub.dst = MutableByteView{out}.subspan(lo - offset, hi - lo);
-      subs.push_back(std::move(sub));
+      subs.push_back({.ekey = chunk_engine_key(key, c),
+                      .chunk = c,
+                      .off = lo - c * cb,
+                      .len = hi - lo,
+                      .dst = MutableByteView{out}.subspan(lo - offset, hi - lo)});
     }
-    {
-      // Cache-verification stat of the base key, piggybacked on the group
-      // whose primary holds chunk 0 (or a mini-group of its own otherwise).
-      ReadSub sub;
-      sub.ekey = base;
-      sub.chunk = ~0ULL;  // sentinel: never coalesces, stays last in its group
-      sub.stat_only = true;
-      subs.push_back(std::move(sub));
-    }
+    // Cache-verification stat of the base key, piggybacked on the group
+    // whose primary holds chunk 0 (or a mini-group of its own otherwise).
+    // The chunk sentinel never coalesces and stays last in its group.
+    subs.push_back({.ekey = base, .chunk = ~0ULL, .stat_only = true});
+    std::vector<ReadSub*> ptrs;
+    ptrs.reserve(subs.size());
+    for (ReadSub& s : subs) ptrs.push_back(&s);
+    Status st = read_wave(ptrs, /*plain=*/false);
+    if (!st.ok()) return st.error();
 
-    // Group subs by their ordered candidate tuple: the first K live
-    // replicas in replica order, K sized for the quorum fan-out plus the
-    // hedge target. At R == 1 without hedging this degenerates to grouping
-    // by acting primary — exactly the pre-quorum batching. Subs sharing a
-    // tuple share all K envelopes, so a group costs K queueing trips total
-    // regardless of its sub count.
-    const std::uint32_t R = store_->config().read_quorum();
-    const std::uint32_t K =
-        std::max<std::uint32_t>(R, store_->config().hedge.enabled ? 2 : 1);
-    std::map<std::vector<std::uint32_t>, std::vector<ReadSub*>> by_cands;
-    for (auto& s : subs) {
-      const auto replicas = store_->replicas_of(s.ekey);
-      if (replicas.empty()) return {Errc::no_space, "no storage nodes in ring"};
-      std::vector<std::uint32_t> cands;
-      for (std::uint32_t rid : replicas) {
-        if (store_->is_down(rid)) continue;
-        cands.push_back(rid);
-        if (cands.size() >= K) break;
-      }
-      if (cands.empty()) return {Errc::unavailable, "all replicas down: " + s.ekey};
-      by_cands[std::move(cands)].push_back(&s);
-    }
-    struct Group {
-      std::vector<std::uint32_t> candidates;
-      std::vector<ReadSub*> subs;
-      Status status = Status::success();
-      SimMicros completion = 0;
-    };
-    std::vector<Group> groups;
-    groups.reserve(by_cands.size());
-    for (auto& [c, v] : by_cands) groups.push_back({c, std::move(v)});
-    std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
-      return a.subs.front()->chunk < b.subs.front()->chunk;
-    });
-
-    const bool parallel = groups.size() > 1 &&
-                          store_->transport().fault_injector() == nullptr &&
-                          std::thread::hardware_concurrency() > 1;
-    if (parallel) {
-      pool().parallel_for(groups.size(), [&](std::size_t gi) {
-        Group& g = groups[gi];
-        g.status = read_group_leg(g.subs, g.candidates, start, &g.completion);
-      });
-    } else {
-      for (Group& g : groups) {
-        g.status = read_group_leg(g.subs, g.candidates, start, &g.completion);
-      }
-    }
-    SimMicros done = start;
-    Status fail = Status::success();
-    for (Group& g : groups) {
-      done = std::max(done, g.completion);
-      if (fail.ok() && !g.status.ok()) fail = g.status;
-    }
-    if (agent_) agent_->advance_to(done);
-    // Batched completion marks feed the hedging histogram AFTER the group
-    // barrier, on the caller's thread (the histogram is not thread-safe and
-    // groups may fan out on the pool). Subs answered by an internal
-    // read_leg fallback carry latency 0 — read_leg recorded its own sample.
-    for (const auto& s : subs) {
-      if (!s.stat_only && s.latency_us > 0) {
-        read_latency_.add(static_cast<std::uint64_t>(s.latency_us));
-      }
-    }
-    if (!fail.ok()) return fail.error();
-
-    // Membership cutover mid-wave: chunks the wave read from old owners may
-    // already be dropped (read as holes). Cheap insurance: re-run the wave
-    // on the post-cutover placement.
-    if (store_->ring_epoch() != epoch0 && attempt < 2) {
-      counters_.stale_epoch_retries.inc();
-      client_metrics().stale_retries.inc();
-      continue;
-    }
-
-    // Cache verification from the piggybacked stat.
-    const ReadSub* vstat = nullptr;
-    for (const auto& s : subs) {
-      if (s.stat_only) vstat = &s;
-    }
-    if (vstat->err == Errc::not_found) {
+    const ReadSub& vstat = subs.back();
+    if (vstat.err == Errc::not_found) {
       cache_erase(base);
       return {Errc::not_found, base};
     }
-    if (vstat->size != logical && attempt < 2) {
+    if (vstat.size != logical && attempt < 2) {
       // Size drifted (concurrent truncate/recreate): relayout and re-read.
       counters_.metacache_invalidations.inc();
       client_metrics().metacache_invalidations.inc();
-      entry = {vstat->size, vstat->version};
+      entry = {vstat.size, vstat.version};
       cache_put(base, entry);
       continue;
     }
-    if (vstat->version != entry.v0 || vstat->size != logical) {
+    if (vstat.version != entry.v0 || vstat.size != logical) {
       // Version-only drift (or a still-moving size on the final attempt):
       // the chunk data just read is current as of its serve; refresh the
       // entry and accept.
-      cache_put(base, {vstat->size, vstat->version});
+      cache_put(base, {vstat.size, vstat.version});
     }
 
     std::uint64_t covered = 0;
@@ -1937,10 +1667,8 @@ Result<Bytes> BlobClient::read(std::string_view key, std::uint64_t offset,
       if (s.err != Errc::ok && s.err != Errc::not_found) return {s.err, s.ekey};
       covered += s.covered;
     }
-    counters_.bytes_read.add(covered);
-    counters_.read_hole_bytes.add(rlen - covered);
-    client_metrics().read_bytes.add(rlen);
-    client_metrics().read_hole_bytes.add(rlen - covered);
+    if (served) *served = {base, vstat.size, vstat.version};
+    account(rlen, covered);
     return out;
   }
 }
@@ -1949,9 +1677,9 @@ Result<BlobStat> BlobClient::cached_stat(const std::string& base) {
   // Same cache lookup/invalidate discipline as the read paths: a hit
   // answers from the client-held {logical size, chunk-0 version} entry with
   // zero rounds (the entry is erased by every local mutation and verified
-  // against a replica by every striped read); a miss pays one charged stat
-  // round and primes the cache. Absent blobs are not cached — a stat after
-  // a failed stat pays the round again, matching read-path probe economy.
+  // against a replica by every striped read); a miss pays one stat round
+  // and primes the cache. Absent blobs are not cached — a stat after a
+  // failed stat pays the round again, matching read-path probe economy.
   if (const auto it = meta_cache_.find(base); it != meta_cache_.end()) {
     counters_.metacache_hits.inc();
     client_metrics().metacache_hits.inc();
@@ -1959,12 +1687,11 @@ Result<BlobStat> BlobClient::cached_stat(const std::string& base) {
   }
   counters_.metacache_misses.inc();
   client_metrics().metacache_misses.inc();
-  const SimMicros start = agent_ ? agent_->now() : 0;
-  SimMicros comp = start;
-  auto s = stat_leg(base, start, &comp);
-  if (agent_) agent_->advance_to(comp);
-  if (s.ok()) cache_put(base, {s.value().size, s.value().version});
-  return s;
+  ReadSub sub{.ekey = base, .stat_only = true};
+  Status st = lone_leg(sub);
+  if (!st.ok()) return st.error();
+  cache_put(base, {sub.size, sub.version});
+  return BlobStat{base, sub.size, sub.version};
 }
 
 Result<std::uint64_t> BlobClient::size(std::string_view key) {

@@ -22,16 +22,16 @@
 // Striping: I/O past StoreConfig::chunk_bytes is split into chunks, each
 // placed independently on the ring (chunk 0 under the application key
 // itself, carrying the full logical size). Blobs at or below one chunk never
-// pay for striping: a single-chunk read or stat runs one leg (read_leg /
-// stat_leg) and a single-chunk mutation is one plain request through the
-// one replicated-mutation leg (mutation_group_leg). A striped op has one
-// path: mutations run the chunk-0 base leg through that same leg, then ship
-// chunks c >= 1 as one batch envelope per acting primary; reads ship one
-// envelope per candidate replica set, with a piggybacked stat sub verifying
-// the client metadata cache's layout. Envelopes fork from the same
-// simulated instant and the call completes at the slowest one
-// (scatter-gather). chunk_bytes = 0 turns striping off: every op is a
-// single-key leg.
+// pay for striping: a single-chunk read or stat is one plain request through
+// the one read leg (read_group_leg), and a single-chunk mutation is one
+// plain request through the one replicated-mutation leg
+// (mutation_group_leg). A striped op runs the same legs in batch form:
+// mutations run the chunk-0 base leg as a plain request, then ship chunks
+// c >= 1 as one batch envelope per acting primary; reads ship one envelope
+// per candidate replica set, with a piggybacked stat sub verifying the
+// client metadata cache's layout. Envelopes fork from the same simulated
+// instant and the call completes at the slowest one (scatter-gather).
+// chunk_bytes = 0 turns striping off: every op is a single-key leg.
 #pragma once
 
 #include <cstdint>
@@ -120,8 +120,12 @@ class BlobClient {
   [[nodiscard]] Status remove(std::string_view key);
 
   // --- Blob Access ---
+  /// Bytes [offset, offset+len) of the blob, clipped at EOF (holes read as
+  /// zero). With `served`, also the chunk-0 (size, version) the bytes were
+  /// served at, from the same round: a single-chunk read pairs its bytes
+  /// with its version atomically.
   [[nodiscard]] Result<Bytes> read(std::string_view key, std::uint64_t offset,
-                                   std::uint64_t len);
+                                   std::uint64_t len, BlobStat* served = nullptr);
   [[nodiscard]] Result<std::uint64_t> size(std::string_view key);
   [[nodiscard]] Result<BlobStat> stat(std::string_view key);
   [[nodiscard]] bool exists(std::string_view key);
@@ -186,32 +190,6 @@ class BlobClient {
   };
   LegDelivery try_deliver(BlobServer& srv, SimMicros start, std::uint64_t request_bytes,
                           std::uint32_t batch_subs = 0);
-
-  /// Version-probe round for quorum reads: stat `ekey` on live replicas (in
-  /// replica order, each with retries) until `quorum` respond. `absent`
-  /// responses participate with version 0.
-  struct ProbeRound {
-    bool ok = false;           ///< quorum responders gathered
-    Errc err = Errc::ok;       ///< failure reason when !ok
-    SimMicros done = 0;        ///< barrier: slowest used probe (or last failure)
-    std::vector<std::uint32_t> fresh;  ///< responders at the max version, replica order
-    BlobStat stat;             ///< freshest responder's stat
-    bool found = false;        ///< false: every responder reported absent
-  };
-  ProbeRound quorum_probe(const std::string& ekey,
-                          const std::vector<std::uint32_t>& lives,
-                          std::uint32_t quorum, SimMicros start);
-
-  /// One read leg, forked from `start`. With read quorum 1 the leg fails
-  /// over through the live replica set (retrying per policy) and optionally
-  /// hedges; with a larger read quorum it first version-probes R replicas
-  /// and reads from the freshest responder.
-  Result<ReadOutcome> read_leg(const std::string& ekey, std::uint64_t off,
-                               std::uint64_t len, SimMicros start, SimMicros* completion);
-
-  /// Charged stat with the same failover/quorum arbitration as read_leg.
-  Result<BlobStat> stat_leg(const std::string& ekey, SimMicros start,
-                            SimMicros* completion);
 
   // --- elastic membership (placement cache + epoch protocol) ---------------
 
@@ -338,41 +316,65 @@ class BlobClient {
   /// forked from the agent's clock, which advances to the leg's completion.
   Status plain_leg(MutationSub& sub);
 
-  /// One chunk-granular slice of a batched striped read (plus its result).
+  /// One read sub-op plus its result: a chunk-granular slice of a striped
+  /// read or its chunk-0 stat, or a lone single-chunk read or stat.
   struct ReadSub {
     std::string ekey;
     std::uint64_t chunk = 0;
     std::uint64_t off = 0;             ///< intra-chunk offset
-    MutableByteView dst;               ///< pre-zeroed slice of the caller buffer
-    bool stat_only = false;            ///< piggybacked base-key verification
+    std::uint64_t len = 0;             ///< span length
+    MutableByteView dst;               ///< striped: pre-zeroed slice of the caller buffer
+    bool stat_only = false;
+    // Routing (filled by read_wave and the failover rule):
+    std::vector<std::uint32_t> replicas;  ///< live candidates, suspects last
+    std::uint32_t votes = 1;           ///< replies a version vote needs
+    std::uint64_t epoch = 0;           ///< ring epoch the placement was computed at
+    SimMicros ready = 0;               ///< when the sub is (re)sent
+    bool moved = false;                ///< moved off an unreachable candidate
+    bool stale = false;                ///< a reply carried a newer epoch stamp
     // Results (filled by read_group_leg):
     Errc err = Errc::ok;
+    Bytes data;                        ///< lone read: the reply bytes, clipped at EOF
     std::uint64_t data_len = 0;
     std::uint64_t covered = 0;         ///< extent-backed bytes among data_len
-    std::uint64_t size = 0;            ///< stat subs
-    Version version = 0;               ///< stat subs / arbitrated read version
+    std::uint64_t size = 0;            ///< object size served (chunk 0: logical size)
+    Version version = 0;               ///< version served (the vote's winner at R > 1)
     /// Per-sub delivered latency (availability time - group attempt start),
-    /// folded into read_latency_ by the caller AFTER the group barrier —
+    /// folded into read_latency_ by read_wave AFTER the group barrier —
     /// the histogram is not thread-safe and groups may fan out on the pool.
     SimMicros latency_us = 0;
   };
 
-  /// One per-candidate-set read group: a full-payload envelope to
-  /// `candidates[0]` plus one digest-only vote envelope per further quorum
-  /// candidate, arbitrated per sub-op by version (digest tie-break), with
-  /// stale sub-ops re-fetched from the winning replica. Hedging composes: a
-  /// slow payload envelope arms a delayed duplicate to candidates[1]. When
-  /// an envelope cannot be delivered even after one whole-envelope re-send
-  /// (fault injector), the group's subs fall back to per-chunk read_leg /
-  /// stat_leg calls, which fail over replica by replica.
-  Status read_group_leg(std::vector<ReadSub*>& subs,
-                        const std::vector<std::uint32_t>& candidates,
+  /// The one read leg: one group of subs sharing a candidate tuple, forked
+  /// from `start`. A payload request to `candidates[0]` plus one digest-only
+  /// vote per further quorum candidate, arbitrated per sub by version
+  /// (digest tie-break), with stale subs re-fetched from the winning
+  /// replica; hedging composes: a slow payload request arms a delayed
+  /// duplicate to candidates[1]. `plain` (a lone sub) sends each request in
+  /// plain wire form, served and charged as BlobServer::read/stat; otherwise
+  /// each request is one batch envelope, re-sent once whole before giving
+  /// up. Subs of an undelivered request move off that candidate (`moved`)
+  /// for read_wave to regroup and resend from the failure time.
+  Status read_group_leg(std::span<ReadSub* const> subs,
+                        const std::vector<std::uint32_t>& candidates, bool plain,
                         SimMicros start, SimMicros* completion);
+
+  /// Run `subs` from the agent's clock, which advances to the slowest
+  /// group's completion: place each sub (a `plain` lone sub through the
+  /// placement cache), group by candidate tuple, run every group's leg
+  /// (fanned out on the pool when no fault injector is installed), regroup
+  /// and resend moved subs, and re-run the whole wave when a reply's epoch
+  /// stamp is newer than the placement it was routed by.
+  Status read_wave(std::span<ReadSub* const> subs, bool plain);
+
+  /// A lone read or stat (`sub` alone, plain wire form); a sub the replicas
+  /// report absent returns not_found.
+  Status lone_leg(ReadSub& sub);
 
   /// size()/stat() backend: metadata-cache lookup first (a hit answers with
   /// zero rounds; the entry is invalidated on local mutation and verified by
   /// the piggybacked stat sub of every striped read), falling back to one
-  /// charged stat round that primes the cache.
+  /// stat round that primes the cache.
   Result<BlobStat> cached_stat(const std::string& base);
 
   // --- client metadata cache ----------------------------------------------

@@ -208,71 +208,105 @@ Result<ReadOutcome> BlobServer::read(const std::string& key, std::uint64_t off,
   return read_locked(key, off, len, service_us);
 }
 
+SimMicros BlobServer::serve_read_sub(const ReadSubOp& sub, ReadSubResult& res) {
+  // Each sub is one engine call, so its data, size and version come from
+  // one shard hold. Digest-only subs are answered from the extent index
+  // (span_probe folds the stored per-extent checksums): no payload bytes are
+  // read, so a quorum vote costs what a stat does, and the reply carries
+  // only (version, digest). probe_payload votes charge the full read cost
+  // anyway: they stand in for a real payload serve on a hedged replica.
+  res = {};
+  if (sub.stat_only) {
+    auto s = engine_.stat(*sub.key);
+    if (!s.ok()) {
+      res.err = Errc::not_found;
+      return 0;
+    }
+    res.size = s.value().size;
+    res.version = s.value().version;
+    return 0;
+  }
+  if (sub.digest_only) {
+    auto pr = engine_.span_probe(*sub.key, sub.off, sub.len);
+    if (!pr.ok()) {
+      res.err = pr.code();
+      return 0;
+    }
+    const SpanProbeOutcome& probe = pr.value();
+    res.size = probe.size;
+    res.version = probe.version;
+    res.digest = probe.digest;
+    res.data_len = probe.data_len;  // the payload bytes the vote avoided
+    res.covered = probe.covered;
+    return sub.probe_payload
+               ? svc_read(*sub.key, probe.size, probe.data_len, probe.extents_touched)
+               : 0;
+  }
+  if (sub.out) {
+    auto r = engine_.read(*sub.key, sub.off, sub.len, sub.want_digest);
+    if (!r.ok()) {
+      res.err = r.code();
+      return 0;
+    }
+    ReadOutcome& out = r.value();
+    res.data_len = out.data.size();
+    res.covered = out.covered;
+    res.size = out.size;
+    res.version = out.version;
+    res.digest = out.digest;
+    *sub.out = std::move(out.data);
+    return svc_read(*sub.key, out.size, res.data_len, out.extents_touched);
+  }
+  auto r = engine_.read_into(*sub.key, sub.off, sub.dst, sub.want_digest);
+  if (!r.ok()) {
+    res.err = r.code();
+    return 0;
+  }
+  const ReadIntoOutcome& out = r.value();
+  res.data_len = out.data_len;
+  res.covered = out.covered;
+  res.size = out.size;
+  res.version = out.version;
+  res.digest = out.digest;
+  return svc_read(*sub.key, out.size, out.data_len, out.extents_touched);
+}
+
 void BlobServer::read_batch(const ReadSubOp* subs, std::size_t count,
                             ReadSubResult* results, SimMicros* service_us,
                             SimMicros* per_op_us) {
   auto& m = server_metrics();
   // One structure-lock acquisition and one fixed CPU charge for the whole
   // envelope; each sub-op then pays exactly what read()/stat() would have
-  // charged for its own data (stat subs ride along for 1µs). Each sub is one
-  // engine call, so its data, size and version come from one shard hold.
+  // charged for its own data, while stat and vote subs ride along for 1µs.
   std::shared_lock lk(mu_);
   SimMicros t = costs_.cpu_op_us;
-  // Digest-only subs are answered from the extent index (span_probe folds
-  // the stored per-extent checksums) — no payload bytes are read, so a
-  // quorum vote costs what a stat does, and the reply carries only
-  // (version, digest). probe_payload votes charge the full read cost
-  // anyway: they stand in for a real payload serve on a hedged replica.
   for (std::size_t i = 0; i < count; ++i) {
     const ReadSubOp& sub = subs[i];
-    ReadSubResult& res = results[i];
-    res = {};
+    const ReadSubResult& res = results[i];
+    t += serve_read_sub(sub, results[i]);
     if (sub.stat_only) {
       m.stat.calls.inc();
       t += 1;
-      auto s = engine_.stat(*sub.key);
-      if (s.ok()) {
-        res.size = s.value().size;
-        res.version = s.value().version;
-      } else {
-        res.err = Errc::not_found;
-      }
-    } else if (sub.digest_only) {
-      auto pr = engine_.span_probe(*sub.key, sub.off, sub.len);
-      if (!pr.ok()) {
-        res.err = pr.code();
-        t += 1;
-      } else {
-        const SpanProbeOutcome& probe = pr.value();
-        res.version = probe.version;
-        res.digest = probe.digest;
-        res.data_len = probe.data_len;  // the payload bytes the vote avoided
-        res.covered = probe.covered;
-        if (sub.probe_payload) {
-          m.read.calls.inc();
-          t += svc_read(*sub.key, probe.size, probe.data_len, probe.extents_touched);
-        } else {
-          m.stat.calls.inc();
-          t += 1;
-        }
-      }
+    } else if (res.err != Errc::ok) {
+      if (sub.digest_only) t += 1;
+    } else if (!sub.digest_only || sub.probe_payload) {
+      m.read.calls.inc();
     } else {
-      auto r = engine_.read_into(*sub.key, sub.off, sub.dst, sub.want_digest);
-      if (!r.ok()) {
-        res.err = r.code();
-      } else {
-        const ReadIntoOutcome& out = r.value();
-        res.data_len = out.data_len;
-        res.covered = out.covered;
-        res.version = out.version;
-        res.digest = out.digest;
-        m.read.calls.inc();
-        t += svc_read(*sub.key, out.size, out.data_len, out.extents_touched);
-      }
+      m.stat.calls.inc();
+      t += 1;
     }
     if (per_op_us) per_op_us[i] = t;
   }
   *service_us = t;
+}
+
+BlobServer::ReadSubResult BlobServer::read_one(const ReadSubOp& sub, SimMicros* service_us) {
+  const bool payload = !sub.stat_only && (!sub.digest_only || sub.probe_payload);
+  OpPublisher pub(payload ? server_metrics().read : server_metrics().stat, service_us);
+  std::shared_lock lk(mu_);
+  ReadSubResult res;
+  *service_us = costs_.cpu_op_us + serve_read_sub(sub, res);
+  return res;
 }
 
 Result<std::uint64_t> BlobServer::size(const std::string& key, SimMicros* service_us) {

@@ -93,14 +93,15 @@ class BlobServer {
 
   // --- batched scatter-gather reads ---------------------------------------
 
-  /// One sub-operation of a batched read envelope. Data subs gather straight
-  /// into the caller's (pre-zeroed) buffer slice `dst`; stat subs
-  /// (`stat_only`, empty dst) piggyback a metadata verification on the
-  /// envelope already in flight.
+  /// One sub-operation of a read request. Data subs gather straight into
+  /// the caller's (pre-zeroed) buffer slice `dst`, or, with `out` set, into
+  /// a reply buffer the server sizes to the bytes it returns (clipped at
+  /// EOF); stat subs (`stat_only`, empty dst) report size and version.
   struct ReadSubOp {
     const std::string* key;
     std::uint64_t off = 0;
     MutableByteView dst;
+    Bytes* out = nullptr;  ///< reply buffer of a `len`-byte read; dst unused
     bool stat_only = false;
     /// Quorum-vote probe: answer (version, digest) from the extent index —
     /// no payload bytes are read or shipped, so a vote costs what a stat
@@ -115,14 +116,14 @@ class BlobServer {
     /// a real payload serve on the alternate replica while keeping the
     /// caller's buffer single-writer.
     bool probe_payload = false;
-    std::uint64_t len = 0;  ///< span length for digest_only subs (dst empty)
+    std::uint64_t len = 0;  ///< span length for digest_only and `out` subs
   };
 
   struct ReadSubResult {
     Errc err = Errc::ok;          ///< ok / not_found
     std::uint64_t data_len = 0;   ///< bytes within the object (wire payload)
     std::uint64_t covered = 0;    ///< extent-backed bytes among data_len
-    std::uint64_t size = 0;       ///< object size (stat subs; 0 on not_found)
+    std::uint64_t size = 0;       ///< object size (0 on not_found)
     Version version = 0;          ///< object version (read + stat subs)
     std::uint64_t digest = 0;     ///< span checksum when requested (0 = none)
   };
@@ -137,6 +138,10 @@ class BlobServer {
   /// mirroring apply_ops.
   void read_batch(const ReadSubOp* subs, std::size_t count, ReadSubResult* results,
                   SimMicros* service_us, SimMicros* per_op_us = nullptr);
+  /// One sub-op as a plain request (a lone read, stat or vote): charged and
+  /// published exactly like read() (payload subs) or stat() (the rest) —
+  /// cpu_op_us plus the sub's own cost, no ride-along.
+  ReadSubResult read_one(const ReadSubOp& sub, SimMicros* service_us);
   Result<std::uint64_t> size(const std::string& key, SimMicros* service_us);
   Result<BlobStat> stat(const std::string& key, SimMicros* service_us);
   std::vector<BlobStat> scan(const std::string& prefix, SimMicros* service_us);
@@ -312,6 +317,9 @@ class BlobServer {
   /// extent. Touches the page cache and publishes server.read.bytes.
   SimMicros svc_read(const std::string& key, std::uint64_t obj_size, std::uint64_t data_len,
                      std::uint32_t extents_touched);
+  /// Serve one read sub-op under the held structure lock; returns its own
+  /// service time (fixed request CPU and ride-along charges excluded).
+  SimMicros serve_read_sub(const ReadSubOp& sub, ReadSubResult& res);
 
   struct Stripe {
     std::mutex mu;

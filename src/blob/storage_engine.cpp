@@ -242,7 +242,7 @@ Result<WriteOutcome> StorageEngine::write_locked(Shard& s, const std::string& ke
 }
 
 Result<ReadOutcome> StorageEngine::read(const std::string& key, std::uint64_t offset,
-                                        std::uint64_t len) const {
+                                        std::uint64_t len, bool want_digest) const {
   const Shard& s = shard(key);
   auto lk = lock(s);
   auto it = s.objects.find(key);
@@ -251,6 +251,7 @@ Result<ReadOutcome> StorageEngine::read(const std::string& key, std::uint64_t of
   ReadOutcome out;
   out.size = rec.length;
   out.version = rec.version;
+  if (want_digest) out.digest = probe_locked(rec, offset, len).digest;
   if (offset >= rec.length) return out;
   len = std::min(len, rec.length - offset);
   out.data.assign(len, std::byte{0});  // holes read as zero

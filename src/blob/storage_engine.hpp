@@ -72,6 +72,7 @@ struct ReadOutcome {
   std::uint64_t covered = 0;
   std::uint64_t size = 0;
   Version version = 0;
+  std::uint64_t digest = 0;  ///< span digest of the read window (0 = not requested)
 };
 
 /// Outcome of a read_into: like ReadOutcome but the data went straight into
@@ -173,9 +174,10 @@ class StorageEngine {
   }
 
   /// Random-access read; unwritten holes read as zero; reads past the end
-  /// are clipped (empty result at/after EOF).
+  /// are clipped (empty result at/after EOF). `want_digest` also folds the
+  /// span digest of [offset, offset+len), as read_into does.
   Result<ReadOutcome> read(const std::string& key, std::uint64_t offset,
-                           std::uint64_t len) const;
+                           std::uint64_t len, bool want_digest = false) const;
 
   /// Scatter-gather read into a caller-provided buffer: copies the extent
   /// bytes overlapping [offset, offset + dst.size()) directly into `dst`,

@@ -906,10 +906,12 @@ TEST(ReadGolden, ReadLegsMatchParent) {
       "striped-warm ok dt=718 env=3 fo=0 n=196508",
       "striped-past-chunk0 ok dt=716 env=3 fo=0 n=65536",
   };
+  // W=2 reads vote in the same round as the payload (R=2): a lone read
+  // costs what it costs at W=0, with no version-probe round before it.
   const std::vector<std::string> expected_w2 = {
-      "read ok dt=249 env=0 fo=0 n=4096",
-      "read-absent not_found dt=106 env=0 fo=0 n=0",
-      "read-past-eof ok dt=212 env=0 fo=0 n=0",
+      "read ok dt=143 env=0 fo=0 n=4096",
+      "read-absent not_found dt=105 env=0 fo=0 n=0",
+      "read-past-eof ok dt=106 env=0 fo=0 n=0",
       "stat ok dt=106 env=0 fo=0 n=4096",
       "stat-absent not_found dt=106 env=0 fo=0 n=0",
       "size-cached ok dt=0 env=0 fo=0 n=4096",
