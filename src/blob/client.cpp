@@ -1900,6 +1900,16 @@ Status BlobTransaction::commit() {
   if (ops_.empty()) return Status::success();
   BlobStore& store = c.store();
   const std::uint32_t W = store.config().write_quorum;
+  // Transactional ops address the key itself, i.e. chunk 0: a range or size
+  // past chunk_bytes would land bytes that read() looks for in chunk keys.
+  const std::uint64_t cb = store.config().chunk_bytes;
+  for (const auto& op : ops_) {
+    const std::uint64_t end =
+        op.kind == BlobServer::OpRef::Kind::write ? op.offset + op.data.size() : op.new_size;
+    if (cb > 0 && end > cb) {
+      return {Errc::invalid_argument, "transaction op past chunk_bytes: " + *op.key};
+    }
+  }
 
   // Involved servers (ascending id): every replica of every touched key.
   // Each server's batch copies the transaction's ops, which share their key

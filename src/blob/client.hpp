@@ -418,7 +418,9 @@ class BlobClient {
 /// (expected versions) make the transaction optimistic: commit() fails with
 /// Errc::conflict — applying nothing — if any precondition no longer holds.
 /// Transactional writes address keys directly (no chunk striping): the
-/// transaction layer is for small metadata blobs (Týr's use case).
+/// transaction layer is for small metadata blobs (Týr's use case), and
+/// commit() refuses with Errc::invalid_argument, applying nothing, any op
+/// whose range or new size passes StoreConfig::chunk_bytes.
 class BlobTransaction {
  public:
   explicit BlobTransaction(BlobClient& client) : client_(&client) {}

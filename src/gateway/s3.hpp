@@ -53,6 +53,9 @@ class S3Gateway {
   Result<std::vector<std::string>> list_buckets(sim::SimAgent& agent);
 
   // --- objects ---
+  /// Objects are written by one transaction, which stays inside chunk 0 of
+  /// the blob store: an object (or an assembled multipart upload) larger
+  /// than StoreConfig::chunk_bytes is refused with Errc::invalid_argument.
   Status put_object(sim::SimAgent& agent, std::string_view bucket, std::string_view key,
                     ByteView data, const PutOptions& opts = {});
   Result<Bytes> get_object(sim::SimAgent& agent, std::string_view bucket,

@@ -1,6 +1,7 @@
 #include "kvstore/kv.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "common/hash.hpp"
@@ -35,49 +36,32 @@ Bytes KvStore::encode_bucket(const Entries& entries) {
 Result<KvStore::Entries> KvStore::load_bucket(blob::BlobClient& client,
                                               std::uint32_t bucket,
                                               blob::Version* version) {
-  // stat and read are two separate blob ops, so a commit can land between
-  // them. The read therefore asks for the whole first chunk rather than the
-  // stat's size: the reply is clipped at EOF, so a single-chunk bucket
-  // always arrives as one whole incarnation, and the stale version it pairs
-  // with fails the transaction's expect_version (which reloads). A bucket
-  // striped over several chunks can still tear across chunk legs; a torn
-  // snapshot is indistinguishable from real corruption here, but unlike
-  // corruption it heals on reload, so retry before concluding the bucket
-  // is damaged.
-  constexpr std::uint32_t kTornLoadRetries = 8;
-  Error torn{Errc::io_error, "corrupt bucket"};
-  for (std::uint32_t attempt = 0; attempt < kTornLoadRetries; ++attempt) {
-    auto st = client.stat(bucket_key(bucket));
-    if (!st.ok()) {
-      if (version) *version = 0;  // bucket blob not created yet
-      return Entries{};
-    }
-    if (version) *version = st.value().version;
-    auto data = client.read(bucket_key(bucket), 0,
-                            std::max(st.value().size, store_->config().chunk_bytes));
-    if (!data.ok()) return data.error();
-    rpc::WireReader r(as_view(data.value()));
-    auto count = r.get_u32();
-    if (!count.ok()) {
-      torn = {Errc::io_error, "corrupt bucket header"};
-      continue;
-    }
-    Entries entries;
-    entries.reserve(count.value());
-    bool decoded = true;
-    for (std::uint32_t i = 0; i < count.value(); ++i) {
-      auto k = r.get_string();
-      auto v = r.get_string();
-      if (!k.ok() || !v.ok()) {
-        torn = {Errc::io_error, "corrupt bucket entry"};
-        decoded = false;
-        break;
-      }
-      entries.emplace_back(std::move(k).take(), std::move(v).take());
-    }
-    if (decoded) return entries;
+  // One read round: a bucket never outgrows chunk 0 (transactions refuse
+  // ranges past chunk_bytes), so the reply is one whole incarnation of the
+  // bucket, clipped at EOF, paired with the version it was served at. A
+  // decode failure is therefore real corruption, never a torn snapshot.
+  const std::uint64_t cb = store_->config().chunk_bytes;
+  blob::BlobStat served;
+  auto data = client.read(bucket_key(bucket), 0,
+                          cb > 0 ? cb : std::numeric_limits<std::uint64_t>::max(), &served);
+  if (!data.ok()) {
+    if (data.code() != Errc::not_found) return data.error();
+    if (version) *version = 0;  // bucket blob not created yet
+    return Entries{};
   }
-  return {torn.code, std::move(torn.context)};
+  if (version) *version = served.version;
+  rpc::WireReader r(as_view(data.value()));
+  auto count = r.get_u32();
+  if (!count.ok()) return {Errc::io_error, "corrupt bucket header"};
+  Entries entries;
+  entries.reserve(count.value());
+  for (std::uint32_t i = 0; i < count.value(); ++i) {
+    auto k = r.get_string();
+    auto v = r.get_string();
+    if (!k.ok() || !v.ok()) return {Errc::io_error, "corrupt bucket entry"};
+    entries.emplace_back(std::move(k).take(), std::move(v).take());
+  }
+  return entries;
 }
 
 template <typename MutateFn>

@@ -9,7 +9,11 @@
 //   * updates are optimistic read-modify-write cycles committed with a Týr
 //     transaction carrying a version precondition — concurrent writers to
 //     the same bucket retry instead of losing updates;
-//   * no directories, no inodes: the entire store is a handful of blobs.
+//   * no directories, no inodes: the entire store is a handful of blobs;
+//   * a bucket lives in chunk 0 of its blob (transactions stay inside one
+//     chunk), so a put that would grow a bucket past
+//     StoreConfig::chunk_bytes fails with Errc::invalid_argument — size
+//     `buckets` for the data — and a lookup is a single read round.
 #pragma once
 
 #include <cstdint>

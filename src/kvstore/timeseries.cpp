@@ -34,14 +34,16 @@ Bytes TimeSeriesStore::encode_descriptor(const Descriptor& d) {
 
 Result<TimeSeriesStore::Descriptor> TimeSeriesStore::load_descriptor(
     blob::BlobClient& client, std::string_view series, blob::Version* version) {
-  auto st = client.stat(desc_key(series));
-  if (!st.ok()) {
+  // One read round: the reply pairs the descriptor with the version it was
+  // served at.
+  blob::BlobStat served;
+  auto data = client.read(desc_key(series), 0, kDescriptorBytes, &served);
+  if (!data.ok()) {
+    if (data.code() != Errc::not_found) return data.error();
     if (version) *version = 0;
     return Descriptor{};
   }
-  if (version) *version = st.value().version;
-  auto data = client.read(desc_key(series), 0, st.value().size);
-  if (!data.ok()) return data.error();
+  if (version) *version = served.version;
   rpc::WireReader r(as_view(data.value()));
   auto segments = r.get_u64();
   auto fill = r.get_u64();

@@ -54,6 +54,34 @@ TEST_F(TxnTest, InapplicableOpAbortsWholeTxn) {
   EXPECT_FALSE(client_.exists("x"));
 }
 
+// Transactions address keys directly, i.e. chunk 0 of a striped blob: an op
+// reaching past chunk_bytes would store bytes that read() looks for in chunk
+// keys, so commit refuses it with nothing applied.
+TEST_F(TxnTest, OpPastChunkBytesIsRefusedWithNothingApplied) {
+  const std::uint64_t cb = store_.config().chunk_bytes;
+  auto write_past = client_.begin_transaction();
+  write_past.write("small", 0, as_view(to_bytes("ok")))
+      .write("big", cb - 1, as_view(to_bytes("xy")));
+  EXPECT_EQ(write_past.commit().code(), Errc::invalid_argument);
+  EXPECT_FALSE(client_.exists("small"));
+  EXPECT_FALSE(client_.exists("big"));
+
+  ASSERT_TRUE(client_.create("t").ok());
+  auto grow_past = client_.begin_transaction();
+  grow_past.truncate("t", cb + 1);
+  EXPECT_EQ(grow_past.commit().code(), Errc::invalid_argument);
+  EXPECT_EQ(client_.size("t").value(), 0u);
+
+  // Exactly one chunk is fine, and reads back.
+  const Bytes full = make_payload(5, 0, cb);
+  auto at_limit = client_.begin_transaction();
+  at_limit.write("full", 0, as_view(full));
+  ASSERT_TRUE(at_limit.commit().ok());
+  auto r = client_.read("full", 0, cb);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(equal(as_view(r.value()), as_view(full)));
+}
+
 // write() keeps its own copy of the caller's bytes: overwriting and then
 // freeing the buffer before commit() must not change what commits, also
 // when the transaction is moved in between. A view of the caller's buffer

@@ -1,6 +1,8 @@
 // Tests for the blob-backed key-value store.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 #include "kvstore/kv.hpp"
@@ -118,6 +120,35 @@ TEST_F(KvTest, SingleBucketConfigStillCorrect) {
   }
   EXPECT_EQ(tiny.approximate_count(agent_), 40u);
   EXPECT_EQ(tiny.get(agent_, "k39").value(), "v39");
+}
+
+// A bucket lives in chunk 0 of its blob: once it would outgrow chunk_bytes,
+// puts are refused instead of acknowledged and lost. Every acknowledged put
+// must read back exactly.
+TEST(KvChunkLimit, EveryAcknowledgedPutReadsBack) {
+  sim::Cluster cluster;
+  blob::StoreConfig cfg;
+  cfg.chunk_bytes = 4096;
+  blob::BlobStore store(cluster, cfg);
+  KvStore kv(store, "small", KvConfig{.buckets = 1});
+  sim::SimAgent agent;
+  std::vector<int> acked;
+  for (int i = 0; i < 400; ++i) {
+    const Status st = kv.put(agent, strfmt("key-%03d", i), strfmt("value-%03d", i));
+    if (st.ok()) {
+      acked.push_back(i);
+    } else {
+      EXPECT_EQ(st.code(), Errc::invalid_argument) << i;
+    }
+  }
+  ASSERT_FALSE(acked.empty());
+  EXPECT_LT(acked.size(), 400u);  // the bucket did fill up
+  for (const int i : acked) {
+    auto got = kv.get(agent, strfmt("key-%03d", i));
+    ASSERT_TRUE(got.ok()) << i;
+    EXPECT_EQ(got.value(), strfmt("value-%03d", i));
+  }
+  EXPECT_EQ(kv.approximate_count(agent), acked.size());
 }
 
 }  // namespace

@@ -168,6 +168,36 @@ TEST_F(S3Test, MultipartUploadAssemblesInOrder) {
   EXPECT_TRUE(client.scan("s3!data!u!").value().empty());
 }
 
+// An object is written by one transaction, which stays inside chunk 0: a
+// put larger than chunk_bytes is refused, never acknowledged with bytes
+// that read back as zeros.
+TEST_F(S3Test, ObjectsPastOneChunkAreRefusedAndAckedPutsReadBack) {
+  const std::uint64_t cb = store_.config().chunk_bytes;
+  const Bytes big = make_payload(13, 0, 3 * cb);
+  EXPECT_EQ(s3_.put_object(agent_, "data", "big", as_view(big)).code(),
+            Errc::invalid_argument);
+  EXPECT_EQ(s3_.get_object(agent_, "data", "big").code(), Errc::not_found);
+
+  auto upload = s3_.create_multipart_upload(agent_, "data", "parts");
+  ASSERT_TRUE(upload.ok());
+  ASSERT_TRUE(s3_.upload_part(agent_, "data", upload.value(), 1,
+                              subview(as_view(big), 0, cb)).ok());
+  ASSERT_TRUE(s3_.upload_part(agent_, "data", upload.value(), 2,
+                              subview(as_view(big), cb, 1)).ok());
+  EXPECT_EQ(
+      s3_.complete_multipart_upload(agent_, "data", "parts", upload.value(), {1, 2}).code(),
+      Errc::invalid_argument);
+  EXPECT_EQ(s3_.get_object(agent_, "data", "parts").code(), Errc::not_found);
+
+  for (const std::uint64_t len : {cb - 1, cb}) {
+    const Bytes data = make_payload(14 + len, 0, len);
+    ASSERT_TRUE(s3_.put_object(agent_, "data", "fits", as_view(data)).ok());
+    auto got = s3_.get_object(agent_, "data", "fits");
+    ASSERT_TRUE(got.ok());
+    EXPECT_TRUE(equal(as_view(got.value()), as_view(data))) << len;
+  }
+}
+
 TEST_F(S3Test, MultipartMissingPartFails) {
   auto upload = s3_.create_multipart_upload(agent_, "data", "k");
   ASSERT_TRUE(upload.ok());
