@@ -1039,9 +1039,9 @@ Status BlobClient::batched_mutation_wave(std::vector<MutationSub>& subs, SimMicr
   }
 }
 
-Status BlobClient::read_group_leg(std::span<ReadSub* const> subs,
-                                  const std::vector<std::uint32_t>& candidates, bool plain,
-                                  SimMicros start, SimMicros* completion) {
+void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
+                                std::span<const std::uint32_t> candidates, bool plain,
+                                SimMicros start, SimMicros* completion) {
   *completion = start;
   const auto& net = store_->cluster().net();
   const StoreConfig& cfg = store_->config();
@@ -1095,44 +1095,47 @@ Status BlobClient::read_group_leg(std::span<ReadSub* const> subs,
   // (batch) or into a reply buffer sized by the replica (plain); a digest
   // vote answers (version, digest) from the extent index; a hedge stand-in
   // is a digest vote charged like the payload read it stands in for.
-  auto make_ops = [&](std::span<ReadSub* const> list, bool digest_mode, bool want_digest,
-                      bool probe_payload) {
-    std::vector<BlobServer::ReadSubOp> ops;
-    ops.reserve(list.size());
-    for (ReadSub* sub : list) {
-      BlobServer::ReadSubOp op;
-      op.key = &sub->ekey;
-      op.off = sub->off;
-      op.len = sub->len;
-      op.stat_only = sub->stat_only;
-      if (!sub->stat_only && digest_mode) {
-        op.digest_only = true;
-        op.probe_payload = probe_payload;
-      } else if (!sub->stat_only) {
-        if (plain) {
-          op.out = &sub->data;
-        } else {
-          op.dst = sub->dst;
-        }
-        op.want_digest = want_digest;
+  struct Mode {
+    bool digest = false;
+    bool want_digest = false;
+    bool probe_payload = false;
+  };
+  auto make_op = [&](ReadSub* sub, Mode mode) {
+    BlobServer::ReadSubOp op;
+    op.key = &sub->ekey;
+    op.off = sub->off;
+    op.len = sub->len;
+    op.stat_only = sub->stat_only;
+    if (!sub->stat_only && mode.digest) {
+      op.digest_only = true;
+      op.probe_payload = mode.probe_payload;
+    } else if (!sub->stat_only) {
+      if (plain) {
+        op.out = &sub->data;
+      } else {
+        op.dst = sub->dst;
       }
-      ops.push_back(op);
+      op.want_digest = mode.want_digest;
     }
-    return ops;
+    return op;
   };
   // Serve one request on `srv` (one fault verdict already drawn), with
-  // per-sub completion marks; plain requests are served as read()/stat().
-  auto serve = [&](BlobServer& srv, const std::vector<BlobServer::ReadSubOp>& ops,
+  // cumulative per-sub service marks; plain requests are served as
+  // read()/stat().
+  auto serve = [&](BlobServer& srv, std::span<ReadSub* const> list, Mode mode,
                    std::vector<BlobServer::ReadSubResult>& results,
                    std::vector<SimMicros>& marks) {
-    results.resize(ops.size());
-    marks.assign(ops.size(), 0);
+    results.resize(list.size());
+    marks.resize(list.size());
     if (plain) {
-      results[0] = srv.read_one(ops[0], &marks[0]);
-    } else {
-      SimMicros svc = 0;
-      srv.read_batch(ops.data(), ops.size(), results.data(), &svc, marks.data());
+      results[0] = srv.read_one(make_op(list[0], mode), &marks[0]);
+      return;
     }
+    std::vector<BlobServer::ReadSubOp> ops;
+    ops.reserve(list.size());
+    for (ReadSub* sub : list) ops.push_back(make_op(sub, mode));
+    SimMicros svc = 0;
+    srv.read_batch(ops.data(), ops.size(), results.data(), &svc, marks.data());
   };
 
   // One request against one candidate: deliver (a batch envelope earns one
@@ -1175,20 +1178,20 @@ Status BlobClient::read_group_leg(std::span<ReadSub* const> subs,
     }
     run.delivered = true;
     run.attempt_start = d.attempt_start;
-    std::vector<SimMicros> marks;
-    serve(srv, make_ops(list, digest_mode, want_digest, false), run.results, marks);
+    serve(srv, list, {.digest = digest_mode, .want_digest = want_digest}, run.results,
+          run.sub_done);
     const std::uint64_t reply = reply_bytes(list, run.results, digest_mode);
     // Chained serve: per-sub deltas leave the node's FCFS busy-until
     // identical to one serve(total); sub j streams out at its own mark
-    // (same pipelining argument as mutation_group_leg).
+    // (same pipelining argument as mutation_group_leg). The marks turn into
+    // per-sub availability times in place.
     const SimMicros arr = d.attempt_start + net.transfer_us(reqb) + d.extra_latency_us;
-    run.sub_done.resize(list.size(), arr);
     SimMicros node_done = arr;
     SimMicros prev_mark = 0;
-    for (std::size_t j = 0; j < list.size(); ++j) {
-      node_done = srv.node().serve(arr, marks[j] - prev_mark);
-      prev_mark = marks[j];
-      run.sub_done[j] = node_done + net.transfer_us(reply) + d.extra_latency_us;
+    for (SimMicros& mark : run.sub_done) {
+      node_done = srv.node().serve(arr, mark - prev_mark);
+      prev_mark = mark;
+      mark = node_done + net.transfer_us(reply) + d.extra_latency_us;
     }
     run.comp = node_done + net.transfer_us(reply) + d.extra_latency_us;
     // Epoch stamp: a reply from a membership newer than the one a sub was
@@ -1199,27 +1202,17 @@ Status BlobClient::read_group_leg(std::span<ReadSub* const> subs,
     return run;
   };
 
-  // The one failover rule: every sub of an undelivered request moves off
-  // that candidate to its own next live replica, suspects last, and is
-  // re-sent, regrouped, from the failure time; a sub left with fewer live
-  // replicas than its vote needs fails the read.
+  // An undelivered request hands its subs back to read_wave, which moves
+  // them off that candidate and resends them from the failure time.
   auto move_off = [&](std::uint32_t rid, std::span<ReadSub* const> list,
-                      const CandRun& run) -> Status {
+                      const CandRun& run) {
     *completion = std::max(*completion, run.failed_at);
     for (ReadSub* sub : list) {
-      std::erase(sub->replicas, rid);
-      if (sub->replicas.size() < std::max<std::uint32_t>(1, sub->votes)) {
-        return {run.err, (sub->votes > 1 ? "read quorum unreachable: " : "unreachable: ") +
-                             sub->ekey};
-      }
-      demote_suspects(sub->replicas);
-      counters_.failovers.inc();
-      sub->moved = true;
+      sub->resend = true;
+      sub->unreachable = rid;
+      sub->err = run.err;
       sub->ready = run.failed_at;
-      // An earlier candidate of the group may already have gathered into it.
-      std::fill(sub->dst.begin(), sub->dst.end(), std::byte{0});
     }
-    return Status::success();
   };
 
   // Fan one request to each of the R quorum candidates: full payload from
@@ -1229,7 +1222,10 @@ Status BlobClient::read_group_leg(std::span<ReadSub* const> subs,
   for (std::uint32_t j = 0; j < R; ++j) {
     cand[j] = run_envelope(candidates[j], subs, /*digest_mode=*/j > 0,
                            /*want_digest=*/R > 1, start);
-    if (!cand[j].delivered) return move_off(candidates[j], subs, cand[j]);
+    if (!cand[j].delivered) {
+      move_off(candidates[j], subs, cand[j]);
+      return;
+    }
     if (j > 0) {
       counters_.quorum_probes.inc();
       client_metrics().quorum_probes.inc();
@@ -1264,8 +1260,7 @@ Status BlobClient::read_group_leg(std::span<ReadSub* const> subs,
       if (hp.delivered) {
         std::vector<BlobServer::ReadSubResult> hres;
         std::vector<SimMicros> hmarks;
-        serve(alt, make_ops(subs, /*digest_mode=*/true, false, /*probe_payload=*/true), hres,
-              hmarks);
+        serve(alt, subs, {.digest = true, .probe_payload = true}, hres, hmarks);
         bool same = true;
         for (std::size_t k = 0; k < subs.size(); ++k) {
           if (subs[k]->stat_only) continue;
@@ -1370,8 +1365,7 @@ Status BlobClient::read_group_leg(std::span<ReadSub* const> subs,
       CandRun rr = run_envelope(candidates[win], list, /*digest_mode=*/false,
                                 /*want_digest=*/false, done);
       if (!rr.delivered) {
-        Status moved = move_off(candidates[win], list, rr);
-        if (!moved.ok()) return moved;
+        move_off(candidates[win], list, rr);
         continue;
       }
       for (std::size_t i = 0; i < list.size(); ++i) {
@@ -1393,7 +1387,6 @@ Status BlobClient::read_group_leg(std::span<ReadSub* const> subs,
   }
 
   *completion = std::max(*completion, done);
-  return Status::success();
 }
 
 Status BlobClient::read_wave(std::span<ReadSub* const> subs, bool plain) {
@@ -1411,76 +1404,89 @@ Status BlobClient::read_wave(std::span<ReadSub* const> subs, bool plain) {
     // puts suspects last up front, while a striped sub keeps its envelope
     // group and demotes suspects only when it moves.
     for (ReadSub* sub : subs) {
-      const Placement p =
-          plain && pass == 0 ? locate(sub->ekey) : store_->placement_of(sub->ekey);
+      Placement p = plain && pass == 0 ? locate(sub->ekey) : store_->placement_of(sub->ekey);
       if (p.replicas.empty()) return {Errc::no_space, "no storage nodes in ring"};
-      sub->replicas.clear();
-      for (std::uint32_t rid : p.replicas) {
-        if (!store_->is_down(rid)) sub->replicas.push_back(rid);
-      }
+      sub->replicas = std::move(p.replicas);
+      std::erase_if(sub->replicas, [this](std::uint32_t rid) { return store_->is_down(rid); });
       if (sub->replicas.empty()) return {Errc::unavailable, "all replicas down: " + sub->ekey};
       if (plain) demote_suspects(sub->replicas);
       sub->votes = std::min<std::uint32_t>(R, static_cast<std::uint32_t>(sub->replicas.size()));
       sub->epoch = p.epoch;
       sub->ready = done;
-      sub->moved = true;
+      sub->resend = true;
       sub->stale = false;
       if (pass > 0) std::fill(sub->dst.begin(), sub->dst.end(), std::byte{0});
     }
 
-    // Group the subs still to send by their candidate tuple; subs sharing a
-    // tuple share all of its requests, so a group costs its candidates'
-    // queueing trips regardless of its sub count. Groups are formed and
-    // ordered by chunk index: deterministic, independent of timing.
-    std::vector<ReadSub*> pending(subs.begin(), subs.end());
-    while (!pending.empty() && fail.ok()) {
-      struct Group {
-        std::vector<std::uint32_t> candidates;
-        std::vector<ReadSub*> subs;
-        SimMicros start = 0;
-        Status status = Status::success();
-        SimMicros completion = 0;
+    for (;;) {
+      // Group the subs to (re)send by candidate tuple, in sub (chunk) order:
+      // deterministic, independent of timing. Subs sharing a tuple share
+      // all of its requests, so a group costs its candidates' queueing
+      // trips regardless of its sub count.
+      // Scratch reused across waves: read_wave runs on the client's own
+      // thread and never nests.
+      const auto tuple_of = [K](const ReadSub* sub) {
+        return std::span<const std::uint32_t>(sub->replicas)
+            .first(std::min(K, sub->replicas.size()));
       };
-      std::map<std::vector<std::uint32_t>, Group> by_cands;
-      for (ReadSub* sub : pending) {
-        std::vector<std::uint32_t> tuple(
-            sub->replicas.begin(),
-            sub->replicas.begin() + static_cast<std::ptrdiff_t>(
-                                        std::min(K, sub->replicas.size())));
-        Group& g = by_cands[tuple];
-        g.candidates = std::move(tuple);
-        g.subs.push_back(sub);
-        g.start = std::max(g.start, sub->ready);
-        sub->moved = false;
+      std::vector<ReadGroup>& groups = wave_groups_;
+      std::vector<ReadSub*>& order = wave_order_;
+      groups.clear();
+      order.clear();
+      for (ReadSub* sub : subs) {
+        if (sub->resend && std::ranges::none_of(groups, [&](const ReadGroup& g) {
+              return std::ranges::equal(g.candidates, tuple_of(sub));
+            })) {
+          groups.push_back({.candidates = tuple_of(sub)});
+        }
       }
-      std::vector<Group> groups;
-      groups.reserve(by_cands.size());
-      for (auto& [c, g] : by_cands) groups.push_back(std::move(g));
-      std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
-        return a.subs.front()->chunk < b.subs.front()->chunk;
-      });
+      if (groups.empty()) break;
+      for (ReadGroup& g : groups) {
+        const std::size_t first = order.size();
+        for (ReadSub* sub : subs) {
+          if (!sub->resend || !std::ranges::equal(g.candidates, tuple_of(sub))) continue;
+          order.push_back(sub);
+          g.start = std::max(g.start, sub->ready);
+        }
+        g.first = first;
+        g.count = order.size() - first;
+      }
+      for (ReadSub* sub : subs) sub->resend = false;
       // Wall-clock fan-out across groups; with a fault injector installed,
       // the sequential order keeps verdict draws deterministic. Groups that
       // share a node book its queue in wall-clock order when fanned out.
       const bool parallel = groups.size() > 1 &&
                             store_->transport().fault_injector() == nullptr &&
                             std::thread::hardware_concurrency() > 1;
-      const auto run = [&](Group& g) {
-        g.status = read_group_leg(g.subs, g.candidates, plain, g.start, &g.completion);
+      const auto run = [&](ReadGroup& g) {
+        read_group_leg(std::span<ReadSub* const>(order).subspan(g.first, g.count), g.candidates,
+                       plain, g.start, &g.completion);
       };
       if (parallel) {
         pool().parallel_for(groups.size(), [&](std::size_t gi) { run(groups[gi]); });
       } else {
-        for (Group& g : groups) run(g);
+        for (ReadGroup& g : groups) run(g);
       }
-      pending.clear();
-      for (Group& g : groups) {
-        done = std::max(done, g.completion);
-        if (fail.ok() && !g.status.ok()) fail = g.status;
-        for (ReadSub* sub : g.subs) {
-          if (sub->moved) pending.push_back(sub);
+      for (const ReadGroup& g : groups) done = std::max(done, g.completion);
+
+      // The one failover rule: every sub of an undelivered request moves off
+      // that candidate to its own next live replica, suspects last, and is
+      // resent, regrouped, from the failure time; a sub left with fewer
+      // live replicas than its vote needs fails the read.
+      for (ReadSub* sub : subs) {
+        if (!sub->resend) continue;
+        std::erase(sub->replicas, sub->unreachable);
+        if (sub->replicas.size() < std::max<std::uint32_t>(1, sub->votes)) {
+          fail = {sub->err,
+                  (sub->votes > 1 ? "read quorum unreachable: " : "unreachable: ") + sub->ekey};
+          break;
         }
+        demote_suspects(sub->replicas);
+        counters_.failovers.inc();
+        // An earlier candidate of its group may already have gathered into it.
+        std::fill(sub->dst.begin(), sub->dst.end(), std::byte{0});
       }
+      if (!fail.ok()) break;
     }
 
     // The one epoch rule: a reply stamped with a ring epoch newer than the

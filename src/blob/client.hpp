@@ -330,10 +330,11 @@ class BlobClient {
     std::uint32_t votes = 1;           ///< replies a version vote needs
     std::uint64_t epoch = 0;           ///< ring epoch the placement was computed at
     SimMicros ready = 0;               ///< when the sub is (re)sent
-    bool moved = false;                ///< moved off an unreachable candidate
+    bool resend = false;               ///< (re)send in the wave's next round
+    std::uint32_t unreachable = 0;     ///< candidate a resent sub moves off
     bool stale = false;                ///< a reply carried a newer epoch stamp
     // Results (filled by read_group_leg):
-    Errc err = Errc::ok;
+    Errc err = Errc::ok;               ///< not_found, or why a resent sub moved
     Bytes data;                        ///< lone read: the reply bytes, clipped at EOF
     std::uint64_t data_len = 0;
     std::uint64_t covered = 0;         ///< extent-backed bytes among data_len
@@ -353,11 +354,11 @@ class BlobClient {
   /// duplicate to candidates[1]. `plain` (a lone sub) sends each request in
   /// plain wire form, served and charged as BlobServer::read/stat; otherwise
   /// each request is one batch envelope, re-sent once whole before giving
-  /// up. Subs of an undelivered request move off that candidate (`moved`)
-  /// for read_wave to regroup and resend from the failure time.
-  Status read_group_leg(std::span<ReadSub* const> subs,
-                        const std::vector<std::uint32_t>& candidates, bool plain,
-                        SimMicros start, SimMicros* completion);
+  /// up. The subs of an undelivered request are handed back (`resend`,
+  /// `unreachable`) for read_wave to move and resend from the failure time.
+  void read_group_leg(std::span<ReadSub* const> subs,
+                      std::span<const std::uint32_t> candidates, bool plain,
+                      SimMicros start, SimMicros* completion);
 
   /// Run `subs` from the agent's clock, which advances to the slowest
   /// group's completion: place each sub (a `plain` lone sub through the
@@ -393,6 +394,16 @@ class BlobClient {
   void cache_put(const std::string& key, MetaEntry e);
   void cache_erase(const std::string& key);
 
+  /// One group of a read wave: subs sharing a candidate tuple, a run of
+  /// wave_order_.
+  struct ReadGroup {
+    std::span<const std::uint32_t> candidates;
+    std::size_t first = 0;
+    std::size_t count = 0;
+    SimMicros start = 0;
+    SimMicros completion = 0;
+  };
+
   /// Lazily-created pool for wall-clock-parallel group fan-out (fault-free
   /// runs only: injected faults need the deterministic sequential order).
   ThreadPool& pool();
@@ -405,6 +416,8 @@ class BlobClient {
   std::unordered_map<std::string, MetaEntry> meta_cache_;
   std::unordered_map<std::string, Placement> place_cache_;
   std::unique_ptr<ThreadPool> pool_;
+  std::vector<ReadGroup> wave_groups_;  ///< read_wave scratch, reused across waves
+  std::vector<ReadSub*> wave_order_;    ///< subs of wave_groups_, group by group
   // Overload resilience state.
   SimMicros op_deadline_at_ = 0;  ///< absolute budget of the op in flight (0 = none)
   double retry_tokens_ = -1.0;    ///< client-wide bucket; <0 = fill on first use
