@@ -1003,11 +1003,13 @@ Status BlobClient::batched_mutation_wave(std::vector<MutationSub>& subs, SimMicr
     return a.subs.front()->chunk < b.subs.front()->chunk;
   });
 
-  // Wall-clock fan-out across per-primary groups. Simulated time is
-  // max-of-legs either way (every group forks from `start`), so parallel
-  // and sequential execution yield identical simulated traces; with a fault
-  // injector installed, the sequential order keeps verdict draws
-  // deterministic.
+  // Wall-clock fan-out across per-primary groups. Every group forks from
+  // `start` and the call completes at the slowest one, but the traces of the
+  // two orders are not identical: groups whose replica sets share a node
+  // book that node's FCFS queue in wall-clock order when fanned out, so the
+  // simulated cost of a parallel wave can vary from run to run. With a fault
+  // injector installed, the sequential order keeps verdict draws (and the
+  // trace) deterministic.
   const bool parallel = groups.size() > 1 &&
                         store_->transport().fault_injector() == nullptr &&
                         std::thread::hardware_concurrency() > 1;

@@ -24,10 +24,10 @@ namespace {
 constexpr std::uint64_t kChunk = 1ULL << 20;
 
 /// The reference store of the equivalence checks: chunk_bytes = 0 never
-/// stripes, so every op runs as one single-key leg (read_leg / stat_leg /
-/// a plain mutation leg) — no chunk layout, no batch envelopes, no metadata
-/// cache, unlike the striped path under test. It also covers the
-/// remove/truncate chunk_bytes == 0 guard.
+/// stripes, so every op is one plain request (a lone read or stat through
+/// the read leg, or a plain mutation leg) — no chunk layout, no batch
+/// envelopes, no metadata cache, unlike the striped path under test. It
+/// also covers the remove/truncate chunk_bytes == 0 guard.
 StoreConfig unstriped_cfg() {
   StoreConfig cfg;
   cfg.chunk_bytes = 0;
@@ -644,7 +644,8 @@ TEST(BatchProbeEconomy, AtEofStripedReadShipsNoData) {
 /// Drives 4.5-chunk blobs through batch envelopes while one storage node is
 /// first flaky (drops + transient errors), then unreachable (every request
 /// errors, though the node is never marked down). Acked writes must read
-/// back byte-exact; reads must fail over through the whole-group fallback.
+/// back byte-exact; reads must fail over: the subs of an undelivered
+/// envelope move to their next live replica and are resent, regrouped.
 void run_faulted_striped(std::uint32_t write_quorum) {
   constexpr std::uint64_t kSmallChunk = 64 << 10;
   constexpr std::uint64_t kLen = 4 * kSmallChunk + kSmallChunk / 2;
@@ -697,9 +698,9 @@ void run_faulted_striped(std::uint32_t write_quorum) {
   const std::uint64_t failovers0 = client.counters().failovers;
   expect_acked_read_back("victim unreachable");
   // Every envelope to the victim also failed its whole-envelope re-send, so
-  // the reads above completed only through the whole-group fallback onto
-  // per-chunk legs: at R = 1 those fail over replica by replica, at R = 2
-  // their version probe routes around the victim.
+  // the reads above completed only because their subs moved off the victim
+  // and were resent: at R = 1 to the next replica, at R = 2 into a vote
+  // among the remaining live replicas.
   EXPECT_GT(client.counters().batch_retries, retries0);
   if (write_quorum == 0) EXPECT_GT(client.counters().failovers, failovers0);
   write_blobs(6);
