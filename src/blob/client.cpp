@@ -15,7 +15,8 @@ namespace {
 /// Wire envelope overhead of a request/response (header, op code, status).
 constexpr std::uint64_t kEnvelope = 32;
 
-/// Wire size of a version-probe request/response (stat of one key).
+/// Wire size of a plain stat request/response; a plain digest vote's reply
+/// is one too.
 constexpr std::uint64_t kProbeReq = 64;
 constexpr std::uint64_t kProbeResp = kEnvelope + 24;
 
@@ -1219,20 +1220,25 @@ void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
 
   // Fan one request to each of the R quorum candidates: full payload from
   // candidates[0], digest-only version votes from the rest, all forked from
-  // the same instant — ~1x payload bytes on the wire instead of Rx.
-  std::vector<CandRun> cand(R);
+  // the same instant — ~1x payload bytes on the wire instead of Rx. The
+  // payload run lives on the stack, so an R = 1 leg allocates no run array.
+  CandRun payload_run;
+  std::vector<CandRun> vote_runs(R - 1);
+  const auto cand = [&](std::uint32_t j) -> CandRun& {
+    return j == 0 ? payload_run : vote_runs[j - 1];
+  };
   for (std::uint32_t j = 0; j < R; ++j) {
-    cand[j] = run_envelope(candidates[j], subs, /*digest_mode=*/j > 0,
+    cand(j) = run_envelope(candidates[j], subs, /*digest_mode=*/j > 0,
                            /*want_digest=*/R > 1, start);
-    if (!cand[j].delivered) {
-      move_off(candidates[j], subs, cand[j]);
+    if (!cand(j).delivered) {
+      move_off(candidates[j], subs, cand(j));
       return;
     }
     if (j > 0) {
       counters_.quorum_probes.inc();
       client_metrics().quorum_probes.inc();
       std::uint64_t avoided = 0;
-      for (const auto& res : cand[j].results) avoided = std::max(avoided, res.data_len);
+      for (const auto& res : cand(j).results) avoided = std::max(avoided, res.data_len);
       counters_.quorum_digest_savings_bytes.add(avoided);
       client_metrics().quorum_digest_savings.add(avoided);
     }
@@ -1251,10 +1257,10 @@ void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
     SimMicros delay = hedge_delay();
     if (delay > 1 && is_suspect(store_->server(candidates[0]).node().id())) delay /= 2;
     if (delay > 0 && candidates.size() > 1 &&
-        cand[0].comp - cand[0].attempt_start > delay) {
+        cand(0).comp - cand(0).attempt_start > delay) {
       counters_.hedges.inc();
       BlobServer& alt = store_->server(candidates[1]);
-      const SimMicros h_start = cand[0].attempt_start + delay;
+      const SimMicros h_start = cand(0).attempt_start + delay;
       std::uint32_t coalesced = 0;
       const std::uint64_t req = request_bytes(subs, &coalesced);
       AttemptPlan hp = plan_attempt(alt, h_start, req,
@@ -1266,8 +1272,8 @@ void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
         bool same = true;
         for (std::size_t k = 0; k < subs.size(); ++k) {
           if (subs[k]->stat_only) continue;
-          if (hres[k].err != cand[0].results[k].err ||
-              hres[k].version != cand[0].results[k].version) {
+          if (hres[k].err != cand(0).results[k].err ||
+              hres[k].version != cand(0).results[k].version) {
             same = false;
           }
         }
@@ -1280,10 +1286,10 @@ void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
             hdone = alt.node().serve(harr, hmarks[k] - prev_mark);
             prev_mark = hmarks[k];
             const SimMicros avail = hdone + net.transfer_us(reply) + hp.extra_latency_us;
-            cand[0].sub_done[k] = std::min(cand[0].sub_done[k], avail);
+            cand(0).sub_done[k] = std::min(cand(0).sub_done[k], avail);
           }
-          cand[0].comp = std::min(
-              cand[0].comp, hdone + net.transfer_us(reply) + hp.extra_latency_us);
+          cand(0).comp = std::min(
+              cand(0).comp, hdone + net.transfer_us(reply) + hp.extra_latency_us);
         }
       }
     }
@@ -1293,25 +1299,25 @@ void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
   // with its sub count, so it would read a busy node as a slow one.
   if (plain && !subs.front()->stat_only) {
     health_on_success(store_->server(candidates[0]).node().id(),
-                      cand[0].comp - cand[0].attempt_start);
+                      cand(0).comp - cand(0).attempt_start);
   }
 
   // Default every sub to the payload candidate's result (the payload is
   // already gathered in place).
   for (std::size_t k = 0; k < subs.size(); ++k) {
     ReadSub* sub = subs[k];
-    const auto& res = cand[0].results[k];
+    const auto& res = cand(0).results[k];
     sub->err = res.err;
     sub->data_len = res.data_len;
     sub->covered = res.covered;
     sub->size = res.size;
     sub->version = res.version;
-    sub->latency_us = cand[0].sub_done[k] > cand[0].attempt_start
-                          ? cand[0].sub_done[k] - cand[0].attempt_start
+    sub->latency_us = cand(0).sub_done[k] > cand(0).attempt_start
+                          ? cand(0).sub_done[k] - cand(0).attempt_start
                           : 0;
   }
   SimMicros done = start;
-  for (const CandRun& c : cand) done = std::max(done, c.comp);
+  for (std::uint32_t j = 0; j < R; ++j) done = std::max(done, cand(j).comp);
 
   if (R > 1) {
     // Per-sub version vote across the R replies. The payload wins at the
@@ -1326,13 +1332,13 @@ void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
       ReadSub* sub = subs[k];
       // A sub's reply is arbitrated once every vote for it has landed.
       SimMicros avail = 0;
-      for (std::uint32_t j = 0; j < R; ++j) avail = std::max(avail, cand[j].sub_done[k]);
-      sub->latency_us = avail > cand[0].attempt_start ? avail - cand[0].attempt_start : 0;
+      for (std::uint32_t j = 0; j < R; ++j) avail = std::max(avail, cand(j).sub_done[k]);
+      sub->latency_us = avail > cand(0).attempt_start ? avail - cand(0).attempt_start : 0;
       Version maxv = 0;
       std::uint32_t win = 0;
       bool any = false;
       for (std::uint32_t j = 0; j < R; ++j) {
-        const auto& r = cand[j].results[k];
+        const auto& r = cand(j).results[k];
         if (r.err != Errc::ok) continue;
         if (!any || r.version > maxv) {
           any = true;
@@ -1342,15 +1348,15 @@ void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
       }
       if (sub->stat_only) {
         sub->err = any ? Errc::ok : Errc::not_found;
-        sub->size = any ? cand[win].results[k].size : 0;
+        sub->size = any ? cand(win).results[k].size : 0;
         sub->version = maxv;
         continue;
       }
       if (!any) continue;  // absent everywhere: the chunk is a hole
-      const auto& r0 = cand[0].results[k];
+      const auto& r0 = cand(0).results[k];
       if (r0.err == Errc::ok &&
           (r0.version >= maxv ||
-           (r0.digest != 0 && r0.digest == cand[win].results[k].digest))) {
+           (r0.digest != 0 && r0.digest == cand(win).results[k].digest))) {
         sub->version = maxv;
         counters_.quorum_winners.inc();
         client_metrics().quorum_winners.inc();
@@ -1378,8 +1384,8 @@ void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
         sub->covered = r.covered;
         sub->size = r.size;
         sub->version = r.version;
-        sub->latency_us = rr.sub_done[i] > cand[0].attempt_start
-                              ? rr.sub_done[i] - cand[0].attempt_start
+        sub->latency_us = rr.sub_done[i] > cand(0).attempt_start
+                              ? rr.sub_done[i] - cand(0).attempt_start
                               : 0;
         counters_.quorum_refetches.inc();
         client_metrics().quorum_refetches.inc();
@@ -1407,10 +1413,16 @@ Status BlobClient::read_wave(std::span<ReadSub* const> subs, bool plain) {
     // group and demotes suspects only when it moves.
     for (ReadSub* sub : subs) {
       Placement p = plain && pass == 0 ? locate(sub->ekey) : store_->placement_of(sub->ekey);
-      if (p.replicas.empty()) return {Errc::no_space, "no storage nodes in ring"};
+      if (p.replicas.empty()) {
+        fail = {Errc::no_space, "no storage nodes in ring"};
+        break;
+      }
       sub->replicas = std::move(p.replicas);
       std::erase_if(sub->replicas, [this](std::uint32_t rid) { return store_->is_down(rid); });
-      if (sub->replicas.empty()) return {Errc::unavailable, "all replicas down: " + sub->ekey};
+      if (sub->replicas.empty()) {
+        fail = {Errc::unavailable, "all replicas down: " + sub->ekey};
+        break;
+      }
       if (plain) demote_suspects(sub->replicas);
       sub->votes = std::min<std::uint32_t>(R, static_cast<std::uint32_t>(sub->replicas.size()));
       sub->epoch = p.epoch;
@@ -1420,13 +1432,13 @@ Status BlobClient::read_wave(std::span<ReadSub* const> subs, bool plain) {
       if (pass > 0) std::fill(sub->dst.begin(), sub->dst.end(), std::byte{0});
     }
 
-    for (;;) {
+    while (fail.ok()) {
       // Group the subs to (re)send by candidate tuple, in sub (chunk) order:
       // deterministic, independent of timing. Subs sharing a tuple share
       // all of its requests, so a group costs its candidates' queueing
-      // trips regardless of its sub count.
-      // Scratch reused across waves: read_wave runs on the client's own
-      // thread and never nests.
+      // trips regardless of its sub count. The group lists are scratch
+      // reused across waves (read_wave runs on the client's own thread and
+      // never nests).
       const auto tuple_of = [K](const ReadSub* sub) {
         return std::span<const std::uint32_t>(sub->replicas)
             .first(std::min(K, sub->replicas.size()));
@@ -1488,7 +1500,6 @@ Status BlobClient::read_wave(std::span<ReadSub* const> subs, bool plain) {
         // An earlier candidate of its group may already have gathered into it.
         std::fill(sub->dst.begin(), sub->dst.end(), std::byte{0});
       }
-      if (!fail.ok()) break;
     }
 
     // The one epoch rule: a reply stamped with a ring epoch newer than the

@@ -75,7 +75,7 @@ struct ClientCounters {
   // Fault-tolerance machinery (see DESIGN.md "Fault model").
   obs::LocalCounter retries;                ///< re-sent attempts after timeout/error
   obs::LocalCounter hedges;                 ///< speculative second read legs fired
-  obs::LocalCounter failovers;              ///< read legs moved to another replica
+  obs::LocalCounter failovers;              ///< read subs moved to another replica
   obs::LocalCounter quorum_degraded_writes; ///< acked mutations that missed >=1 replica
   obs::LocalCounter hints_written;          ///< hinted-handoff entries recorded
   // Batched scatter-gather + metadata cache (see DESIGN.md "Batched striping").
@@ -88,7 +88,7 @@ struct ClientCounters {
   obs::LocalCounter metacache_misses;
   obs::LocalCounter metacache_invalidations;
   // Quorum-aware batched reads (see DESIGN.md "Per-sub quorum voting").
-  obs::LocalCounter quorum_probes;          ///< digest-only vote envelopes sent
+  obs::LocalCounter quorum_probes;          ///< digest-only votes sent
   obs::LocalCounter quorum_winners;         ///< read sub-ops arbitrated by version vote
   obs::LocalCounter quorum_digest_savings_bytes; ///< payload bytes digest replies avoided
   obs::LocalCounter quorum_refetches;       ///< sub-ops re-fetched from a fresher replica
@@ -323,10 +323,10 @@ class BlobClient {
     std::uint64_t chunk = 0;
     std::uint64_t off = 0;             ///< intra-chunk offset
     std::uint64_t len = 0;             ///< span length
-    MutableByteView dst;               ///< striped: pre-zeroed slice of the caller buffer
+    MutableByteView dst{};             ///< striped: pre-zeroed slice of the caller buffer
     bool stat_only = false;
     // Routing (filled by read_wave and the failover rule):
-    std::vector<std::uint32_t> replicas;  ///< live candidates, suspects last
+    std::vector<std::uint32_t> replicas{};  ///< live candidates, suspects last
     std::uint32_t votes = 1;           ///< replies a version vote needs
     std::uint64_t epoch = 0;           ///< ring epoch the placement was computed at
     SimMicros ready = 0;               ///< when the sub is (re)sent
@@ -335,7 +335,7 @@ class BlobClient {
     bool stale = false;                ///< a reply carried a newer epoch stamp
     // Results (filled by read_group_leg):
     Errc err = Errc::ok;               ///< not_found, or why a resent sub moved
-    Bytes data;                        ///< lone read: the reply bytes, clipped at EOF
+    Bytes data{};                      ///< lone read: the reply bytes, clipped at EOF
     std::uint64_t data_len = 0;
     std::uint64_t covered = 0;         ///< extent-backed bytes among data_len
     std::uint64_t size = 0;            ///< object size served (chunk 0: logical size)
