@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <new>
 #include <set>
 #include <thread>
+#include <type_traits>
 
 #include "common/hash.hpp"
 #include "rpc/wire.hpp"
@@ -51,6 +54,33 @@ BlobServer::OpRef write_op(std::uint64_t offset, ByteView slice,
 
 /// Wire bytes of one per-sub status in a batch reply (payload excluded).
 std::uint64_t batch_substatus_bytes() { return rpc::wire_size(rpc::BatchSubStatus{}); }
+
+/// `n` value-initialized Ts, held inline when n <= N: the per-candidate
+/// reply rows of a read leg, so a lone read allocates none.
+template <typename T, std::size_t N>
+class SmallBuf {
+  static_assert(std::is_trivially_destructible_v<T>);
+
+ public:
+  explicit SmallBuf(std::size_t n) {
+    if (n > N) {
+      heap_.resize(n);
+      span_ = heap_;
+    } else {
+      T* first = std::launder(reinterpret_cast<T*>(inline_));
+      std::uninitialized_value_construct_n(first, n);
+      span_ = {first, n};
+    }
+  }
+  SmallBuf(const SmallBuf&) = delete;
+  SmallBuf& operator=(const SmallBuf&) = delete;
+  std::span<T> span() const noexcept { return span_; }
+
+ private:
+  alignas(T) std::byte inline_[N * sizeof(T)];
+  std::vector<T> heap_;
+  std::span<T> span_;
+};
 
 /// Registry series of one client primitive. The category counter is the
 /// paper's §IV taxonomy roll-up, reached through the closest POSIX OpKind:
@@ -1045,25 +1075,63 @@ Status BlobClient::batched_mutation_wave(std::vector<MutationSub>& subs, SimMicr
 void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
                                 std::span<const std::uint32_t> candidates, bool plain,
                                 SimMicros start, SimMicros* completion) {
+  using SubResult = BlobServer::ReadSubResult;
   *completion = start;
   const auto& net = store_->cluster().net();
   const StoreConfig& cfg = store_->config();
+  const std::size_t n = subs.size();
   // Quorum candidates actually voted: the group's candidate tuple is sized
   // for max(R, hedge target), so clamp to the subs' vote size.
   const std::uint32_t R = std::min<std::uint32_t>(
       subs.front()->votes, static_cast<std::uint32_t>(candidates.size()));
 
-  // Wire form, decided here once. A plain request carries one sub:
-  // req_bytes(key) out for a read or vote (kProbeReq for a stat), and
-  // kEnvelope + payload back (kProbeResp for a stat or a digest vote), one
+  // One sub-op per sub: a sub with a caller-buffer slice (striped) gathers
+  // into it, a sub without one (a lone read) into a reply buffer sized by
+  // the replica, clipped at EOF; a digest vote answers (version, digest)
+  // from the extent index; a hedge stand-in is a digest vote charged like
+  // the payload read it stands in for.
+  struct Mode {
+    bool digest = false;
+    bool want_digest = false;
+    bool probe_payload = false;
+  };
+  const auto make_op = [](ReadSub* sub, Mode mode) {
+    BlobServer::ReadSubOp op;
+    op.key = &sub->ekey;
+    op.off = sub->off;
+    op.len = sub->len;
+    op.stat_only = sub->stat_only;
+    if (!sub->stat_only && mode.digest) {
+      op.digest_only = true;
+      op.probe_payload = mode.probe_payload;
+    } else if (!sub->stat_only) {
+      if (sub->dst.empty()) {
+        op.out = &sub->data;
+      } else {
+        op.dst = sub->dst;
+      }
+      op.want_digest = mode.want_digest;
+    }
+    return op;
+  };
+
+  // Wire form, decided here once: the only place `plain` shapes a request.
+  // A plain request carries one sub: req_bytes(key) out for a read or vote
+  // (kProbeReq for a stat), kEnvelope + payload back (kProbeResp for a stat
+  // or a digest vote), served and charged as BlobServer::read()/stat(), one
   // Transport::admit verdict, no whole-envelope re-send, no batch
   // accounting. A batch envelope carries one header per coalesced run
-  // (stat subs never coalesce); payload-vs-digest reply mode rides in the
-  // envelope flags byte, part of the kEnvelope overhead. Its reply carries
-  // per-sub statuses plus, on a payload envelope, the largest single chunk
-  // (chunk payloads stream back in parallel, like independent per-chunk
-  // replies — a vectored run gathers at the NIC, it does not serialize).
-  auto request_bytes = [&](std::span<ReadSub* const> list, std::uint32_t* coalesced) {
+  // (stat subs never coalesce) and is re-sent once whole before its subs
+  // move; payload-vs-digest reply mode rides in the envelope flags byte,
+  // part of the kEnvelope overhead. Its reply carries per-sub statuses
+  // plus, on a payload envelope, the largest single chunk (chunk payloads
+  // stream back in parallel, like independent per-chunk replies — a
+  // vectored run gathers at the NIC, it does not serialize).
+  const int resends = plain ? 0 : 1;
+  const auto batch_subs = [plain](std::span<ReadSub* const> list) {
+    return plain ? 0U : static_cast<std::uint32_t>(list.size());
+  };
+  const auto request_bytes = [&](std::span<ReadSub* const> list, std::uint32_t* coalesced) {
     *coalesced = 0;
     if (plain) return list[0]->stat_only ? kProbeReq : req_bytes(list[0]->ekey);
     std::uint64_t req = kEnvelope;
@@ -1084,9 +1152,8 @@ void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
     }
     return req;
   };
-  auto reply_bytes = [&](std::span<ReadSub* const> list,
-                         const std::vector<BlobServer::ReadSubResult>& results,
-                         bool digest_mode) {
+  const auto reply_bytes = [&](std::span<ReadSub* const> list,
+                               std::span<const SubResult> results, bool digest_mode) {
     std::uint64_t max_chunk = 0;
     for (const auto& res : results) max_chunk = std::max(max_chunk, res.data_len);
     if (plain) {
@@ -1094,42 +1161,10 @@ void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
     }
     return kEnvelope + list.size() * batch_substatus_bytes() + (digest_mode ? 0 : max_chunk);
   };
-  // One sub-op per sub: a payload sub gathers into its caller-buffer slice
-  // (batch) or into a reply buffer sized by the replica (plain); a digest
-  // vote answers (version, digest) from the extent index; a hedge stand-in
-  // is a digest vote charged like the payload read it stands in for.
-  struct Mode {
-    bool digest = false;
-    bool want_digest = false;
-    bool probe_payload = false;
-  };
-  auto make_op = [&](ReadSub* sub, Mode mode) {
-    BlobServer::ReadSubOp op;
-    op.key = &sub->ekey;
-    op.off = sub->off;
-    op.len = sub->len;
-    op.stat_only = sub->stat_only;
-    if (!sub->stat_only && mode.digest) {
-      op.digest_only = true;
-      op.probe_payload = mode.probe_payload;
-    } else if (!sub->stat_only) {
-      if (plain) {
-        op.out = &sub->data;
-      } else {
-        op.dst = sub->dst;
-      }
-      op.want_digest = mode.want_digest;
-    }
-    return op;
-  };
   // Serve one request on `srv` (one fault verdict already drawn), with
-  // cumulative per-sub service marks; plain requests are served as
-  // read()/stat().
-  auto serve = [&](BlobServer& srv, std::span<ReadSub* const> list, Mode mode,
-                   std::vector<BlobServer::ReadSubResult>& results,
-                   std::vector<SimMicros>& marks) {
-    results.resize(list.size());
-    marks.resize(list.size());
+  // cumulative per-sub service marks.
+  const auto serve = [&](BlobServer& srv, std::span<ReadSub* const> list, Mode mode,
+                         std::span<SubResult> results, std::span<SimMicros> marks) {
     if (plain) {
       results[0] = srv.read_one(make_op(list[0], mode), &marks[0]);
       return;
@@ -1141,74 +1176,76 @@ void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
     srv.read_batch(ops.data(), ops.size(), results.data(), &svc, marks.data());
   };
 
-  // One request against one candidate: deliver (a batch envelope earns one
-  // whole-envelope re-send after a fresh backoff: it stands for many legs),
-  // serve the subs with per-sub completion marks, charge the reply.
+  // One request against one candidate, into `run`: deliver, serve the subs
+  // with per-sub completion marks into the caller's result rows, charge the
+  // reply.
   struct CandRun {
     bool delivered = false;
     Errc err = Errc::unavailable;
     SimMicros failed_at = 0;
     SimMicros attempt_start = 0;
     SimMicros comp = 0;
-    std::vector<BlobServer::ReadSubResult> results;
-    std::vector<SimMicros> sub_done;  ///< per-sub availability at the client
+    std::span<SubResult> results;
+    std::span<SimMicros> sub_done;  ///< per-sub availability at the client
   };
-  auto run_envelope = [&](std::uint32_t rid, std::span<ReadSub* const> list,
-                          bool digest_mode, bool want_digest, SimMicros at) {
-    CandRun run;
+  const auto run_envelope = [&](CandRun& run, std::uint32_t rid,
+                                std::span<ReadSub* const> list, bool digest_mode,
+                                bool want_digest, SimMicros at, std::span<SubResult> results,
+                                std::span<SimMicros> marks) {
     BlobServer& srv = store_->server(rid);
     std::uint32_t coalesced = 0;
     const std::uint64_t reqb = request_bytes(list, &coalesced);
-    const std::uint32_t batch_subs = plain ? 0 : static_cast<std::uint32_t>(list.size());
-    if (!plain) {
+    const std::uint32_t nsubs = batch_subs(list);
+    if (nsubs > 0) {
       counters_.batch_envelopes.inc();
       client_metrics().batch_envelopes.inc();
-      client_metrics().batch_size.add(list.size());
+      client_metrics().batch_size.add(nsubs);
       counters_.coalesced_ops.add(coalesced);
       client_metrics().batch_coalesced.add(coalesced);
     }
-    LegDelivery d = try_deliver(srv, at, reqb, batch_subs);
-    if (!d.ok && !plain) {
+    LegDelivery d = try_deliver(srv, at, reqb, nsubs);
+    for (int i = 0; !d.ok && i < resends; ++i) {
       counters_.batch_retries.inc();
       client_metrics().batch_retries.inc();
       SimMicros prev = cfg.retry.backoff_base_us;
-      d = try_deliver(srv, d.failed_at + next_backoff(&prev), reqb, batch_subs);
+      d = try_deliver(srv, d.failed_at + next_backoff(&prev), reqb, nsubs);
     }
     if (!d.ok) {
       run.err = d.err;
       run.failed_at = d.failed_at;
-      return run;
+      return;
     }
     run.delivered = true;
     run.attempt_start = d.attempt_start;
-    serve(srv, list, {.digest = digest_mode, .want_digest = want_digest}, run.results,
-          run.sub_done);
-    const std::uint64_t reply = reply_bytes(list, run.results, digest_mode);
+    run.results = results;
+    run.sub_done = marks;
+    serve(srv, list, {.digest = digest_mode, .want_digest = want_digest}, results, marks);
+    const std::uint64_t reply = reply_bytes(list, results, digest_mode);
     // Chained serve: per-sub deltas leave the node's FCFS busy-until
     // identical to one serve(total); sub j streams out at its own mark
     // (same pipelining argument as mutation_group_leg). The marks turn into
     // per-sub availability times in place.
     const SimMicros arr = d.attempt_start + net.transfer_us(reqb) + d.extra_latency_us;
+    const SimMicros back = net.transfer_us(reply) + d.extra_latency_us;
     SimMicros node_done = arr;
     SimMicros prev_mark = 0;
-    for (SimMicros& mark : run.sub_done) {
+    for (SimMicros& mark : marks) {
       node_done = srv.node().serve(arr, mark - prev_mark);
       prev_mark = mark;
-      mark = node_done + net.transfer_us(reply) + d.extra_latency_us;
+      mark = node_done + back;
     }
-    run.comp = node_done + net.transfer_us(reply) + d.extra_latency_us;
+    run.comp = node_done + back;
     // Epoch stamp: a reply from a membership newer than the one a sub was
     // placed at may come from a replica its data has left; the wave re-runs.
     for (ReadSub* sub : list) {
       if (srv.ring_epoch() > sub->epoch) sub->stale = true;
     }
-    return run;
   };
 
   // An undelivered request hands its subs back to read_wave, which moves
   // them off that candidate and resends them from the failure time.
-  auto move_off = [&](std::uint32_t rid, std::span<ReadSub* const> list,
-                      const CandRun& run) {
+  const auto move_off = [&](std::uint32_t rid, std::span<ReadSub* const> list,
+                            const CandRun& run) {
     *completion = std::max(*completion, run.failed_at);
     for (ReadSub* sub : list) {
       sub->resend = true;
@@ -1220,25 +1257,26 @@ void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
 
   // Fan one request to each of the R quorum candidates: full payload from
   // candidates[0], digest-only version votes from the rest, all forked from
-  // the same instant — ~1x payload bytes on the wire instead of Rx. The
-  // payload run lives on the stack, so an R = 1 leg allocates no run array.
-  CandRun payload_run;
-  std::vector<CandRun> vote_runs(R - 1);
-  const auto cand = [&](std::uint32_t j) -> CandRun& {
-    return j == 0 ? payload_run : vote_runs[j - 1];
-  };
+  // the same instant — ~1x payload bytes on the wire instead of Rx. Row j
+  // of the result and mark rows holds candidate j's per-sub replies; a lone
+  // sub at R <= 3 keeps every row on the stack.
+  SmallBuf<CandRun, 3> runs(R);
+  SmallBuf<SubResult, 4> result_rows(R * n);
+  SmallBuf<SimMicros, 4> mark_rows(R * n);
+  const std::span<CandRun> cand = runs.span();
   for (std::uint32_t j = 0; j < R; ++j) {
-    cand(j) = run_envelope(candidates[j], subs, /*digest_mode=*/j > 0,
-                           /*want_digest=*/R > 1, start);
-    if (!cand(j).delivered) {
-      move_off(candidates[j], subs, cand(j));
+    run_envelope(cand[j], candidates[j], subs, /*digest_mode=*/j > 0,
+                 /*want_digest=*/R > 1, start, result_rows.span().subspan(j * n, n),
+                 mark_rows.span().subspan(j * n, n));
+    if (!cand[j].delivered) {
+      move_off(candidates[j], subs, cand[j]);
       return;
     }
     if (j > 0) {
       counters_.quorum_probes.inc();
       client_metrics().quorum_probes.inc();
       std::uint64_t avoided = 0;
-      for (const auto& res : cand(j).results) avoided = std::max(avoided, res.data_len);
+      for (const auto& res : cand[j].results) avoided = std::max(avoided, res.data_len);
       counters_.quorum_digest_savings_bytes.add(avoided);
       client_metrics().quorum_digest_savings.add(avoided);
     }
@@ -1257,88 +1295,87 @@ void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
     SimMicros delay = hedge_delay();
     if (delay > 1 && is_suspect(store_->server(candidates[0]).node().id())) delay /= 2;
     if (delay > 0 && candidates.size() > 1 &&
-        cand(0).comp - cand(0).attempt_start > delay) {
+        cand[0].comp - cand[0].attempt_start > delay) {
       counters_.hedges.inc();
       BlobServer& alt = store_->server(candidates[1]);
-      const SimMicros h_start = cand(0).attempt_start + delay;
+      const SimMicros h_start = cand[0].attempt_start + delay;
       std::uint32_t coalesced = 0;
       const std::uint64_t req = request_bytes(subs, &coalesced);
-      AttemptPlan hp = plan_attempt(alt, h_start, req,
-                                    plain ? 0 : static_cast<std::uint32_t>(subs.size()));
+      AttemptPlan hp = plan_attempt(alt, h_start, req, batch_subs(subs));
       if (hp.delivered) {
-        std::vector<BlobServer::ReadSubResult> hres;
-        std::vector<SimMicros> hmarks;
+        SmallBuf<SubResult, 4> hres_buf(n);
+        SmallBuf<SimMicros, 4> hmarks_buf(n);
+        const std::span<SubResult> hres = hres_buf.span();
+        const std::span<SimMicros> hmarks = hmarks_buf.span();
         serve(alt, subs, {.digest = true, .probe_payload = true}, hres, hmarks);
         bool same = true;
-        for (std::size_t k = 0; k < subs.size(); ++k) {
-          if (subs[k]->stat_only) continue;
-          if (hres[k].err != cand(0).results[k].err ||
-              hres[k].version != cand(0).results[k].version) {
-            same = false;
-          }
+        for (std::size_t k = 0; k < n; ++k) {
+          const SubResult& r0 = cand[0].results[k];
+          same = same && (subs[k]->stat_only ||
+                          (hres[k].err == r0.err && hres[k].version == r0.version));
         }
         if (same) {
           const std::uint64_t reply = reply_bytes(subs, hres, /*digest_mode=*/false);
           const SimMicros harr = h_start + net.transfer_us(req) + hp.extra_latency_us;
           SimMicros hdone = harr;
           SimMicros prev_mark = 0;
-          for (std::size_t k = 0; k < subs.size(); ++k) {
+          for (std::size_t k = 0; k < n; ++k) {
             hdone = alt.node().serve(harr, hmarks[k] - prev_mark);
             prev_mark = hmarks[k];
             const SimMicros avail = hdone + net.transfer_us(reply) + hp.extra_latency_us;
-            cand(0).sub_done[k] = std::min(cand(0).sub_done[k], avail);
+            cand[0].sub_done[k] = std::min(cand[0].sub_done[k], avail);
           }
-          cand(0).comp = std::min(
-              cand(0).comp, hdone + net.transfer_us(reply) + hp.extra_latency_us);
+          cand[0].comp = std::min(
+              cand[0].comp, hdone + net.transfer_us(reply) + hp.extra_latency_us);
         }
       }
     }
   }
-  // A plain reply's latency is one request's: it feeds the serving node's
-  // latency EWMA (gray-failure suspicion). A batch envelope's latency grows
-  // with its sub count, so it would read a busy node as a slow one.
+  // Routing rule: a plain reply's latency is one request's, so it feeds the
+  // serving node's latency EWMA (gray-failure suspicion). A batch
+  // envelope's latency grows with its sub count, so it would read a busy
+  // node as a slow one.
   if (plain && !subs.front()->stat_only) {
     health_on_success(store_->server(candidates[0]).node().id(),
-                      cand(0).comp - cand(0).attempt_start);
+                      cand[0].comp - cand[0].attempt_start);
   }
 
-  // Default every sub to the payload candidate's result (the payload is
-  // already gathered in place).
-  for (std::size_t k = 0; k < subs.size(); ++k) {
-    ReadSub* sub = subs[k];
-    const auto& res = cand(0).results[k];
+  // A sub takes one candidate's reply, available at the client at `avail`.
+  const auto take = [&](ReadSub* sub, const SubResult& res, SimMicros avail) {
     sub->err = res.err;
-    sub->data_len = res.data_len;
     sub->covered = res.covered;
     sub->size = res.size;
     sub->version = res.version;
-    sub->latency_us = cand(0).sub_done[k] > cand(0).attempt_start
-                          ? cand(0).sub_done[k] - cand(0).attempt_start
-                          : 0;
-  }
+    sub->latency_us = std::max<SimMicros>(0, avail - cand[0].attempt_start);
+  };
+  // Default every sub to the payload candidate's result (the payload is
+  // already gathered in place).
+  for (std::size_t k = 0; k < n; ++k) take(subs[k], cand[0].results[k], cand[0].sub_done[k]);
   SimMicros done = start;
-  for (std::uint32_t j = 0; j < R; ++j) done = std::max(done, cand(j).comp);
+  for (const CandRun& run : cand) done = std::max(done, run.comp);
 
   if (R > 1) {
     // Per-sub version vote across the R replies. The payload wins at the
-    // max version, or below it with a byte-identical span digest (a version
-    // bump that did not change this span); otherwise the sub is stale and
-    // is re-fetched — one payload request per winning replica, forked at
-    // the vote barrier, so the winning payload still crosses the wire once.
-    // A stat sub takes the max-version responder's stat, and is absent only
-    // when every responder reports absent.
+    // max version, or below it when both its span digest and its object
+    // size match the winner's (a version bump that changed neither these
+    // bytes nor where the reply is clipped: a missed truncate-grow keeps
+    // every extent, so only the size tells it apart); otherwise the sub is
+    // stale and is re-fetched — one payload request per winning replica,
+    // forked at the vote barrier, so the winning payload still crosses the
+    // wire once. A stat sub takes the max-version responder's stat, and is
+    // absent only when every responder reports absent.
     std::map<std::uint32_t, std::vector<ReadSub*>> refetch;  // cand idx -> subs
-    for (std::size_t k = 0; k < subs.size(); ++k) {
+    for (std::size_t k = 0; k < n; ++k) {
       ReadSub* sub = subs[k];
       // A sub's reply is arbitrated once every vote for it has landed.
       SimMicros avail = 0;
-      for (std::uint32_t j = 0; j < R; ++j) avail = std::max(avail, cand(j).sub_done[k]);
-      sub->latency_us = avail > cand(0).attempt_start ? avail - cand(0).attempt_start : 0;
+      for (const CandRun& run : cand) avail = std::max(avail, run.sub_done[k]);
+      sub->latency_us = std::max<SimMicros>(0, avail - cand[0].attempt_start);
       Version maxv = 0;
       std::uint32_t win = 0;
       bool any = false;
       for (std::uint32_t j = 0; j < R; ++j) {
-        const auto& r = cand(j).results[k];
+        const SubResult& r = cand[j].results[k];
         if (r.err != Errc::ok) continue;
         if (!any || r.version > maxv) {
           any = true;
@@ -1346,17 +1383,18 @@ void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
           win = j;
         }
       }
+      const SubResult& rw = cand[win].results[k];
       if (sub->stat_only) {
         sub->err = any ? Errc::ok : Errc::not_found;
-        sub->size = any ? cand(win).results[k].size : 0;
+        sub->size = any ? rw.size : 0;
         sub->version = maxv;
         continue;
       }
       if (!any) continue;  // absent everywhere: the chunk is a hole
-      const auto& r0 = cand(0).results[k];
+      const SubResult& r0 = cand[0].results[k];
       if (r0.err == Errc::ok &&
           (r0.version >= maxv ||
-           (r0.digest != 0 && r0.digest == cand(win).results[k].digest))) {
+           (r0.digest != 0 && r0.digest == rw.digest && r0.size == rw.size))) {
         sub->version = maxv;
         counters_.quorum_winners.inc();
         client_metrics().quorum_winners.inc();
@@ -1370,23 +1408,17 @@ void BlobClient::read_group_leg(std::span<ReadSub* const> subs,
       // holes; re-zero before gathering so read_into's pre-zeroed-dst
       // contract holds.
       for (ReadSub* sub : list) std::fill(sub->dst.begin(), sub->dst.end(), std::byte{0});
-      CandRun rr = run_envelope(candidates[win], list, /*digest_mode=*/false,
-                                /*want_digest=*/false, done);
+      SmallBuf<SubResult, 4> rres(list.size());
+      SmallBuf<SimMicros, 4> rmarks(list.size());
+      CandRun rr;
+      run_envelope(rr, candidates[win], list, /*digest_mode=*/false, /*want_digest=*/false,
+                   done, rres.span(), rmarks.span());
       if (!rr.delivered) {
         move_off(candidates[win], list, rr);
         continue;
       }
       for (std::size_t i = 0; i < list.size(); ++i) {
-        ReadSub* sub = list[i];
-        const auto& r = rr.results[i];
-        sub->err = r.err;
-        sub->data_len = r.data_len;
-        sub->covered = r.covered;
-        sub->size = r.size;
-        sub->version = r.version;
-        sub->latency_us = rr.sub_done[i] > cand(0).attempt_start
-                              ? rr.sub_done[i] - cand(0).attempt_start
-                              : 0;
+        take(list[i], rr.results[i], rr.sub_done[i]);
         counters_.quorum_refetches.inc();
         client_metrics().quorum_refetches.inc();
       }
@@ -1406,11 +1438,9 @@ Status BlobClient::read_wave(std::span<ReadSub* const> subs, bool plain) {
   SimMicros done = start;
   Status fail = Status::success();
   for (int pass = 0;; ++pass) {
-    // Placement: a lone sub resolves through the placement cache on its
-    // first pass, as a plain mutation leg does; a striped wave is placed
-    // fresh. Candidates are the live replicas in replica order; a lone sub
-    // puts suspects last up front, while a striped sub keeps its envelope
-    // group and demotes suspects only when it moves.
+    // Candidates are the live replicas in replica order; a lone sub reads
+    // the placement cache first and puts suspects last (the routing rules
+    // in read_wave's doc).
     for (ReadSub* sub : subs) {
       Placement p = plain && pass == 0 ? locate(sub->ekey) : store_->placement_of(sub->ekey);
       if (p.replicas.empty()) {

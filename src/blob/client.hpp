@@ -336,8 +336,7 @@ class BlobClient {
     // Results (filled by read_group_leg):
     Errc err = Errc::ok;               ///< not_found, or why a resent sub moved
     Bytes data{};                      ///< lone read: the reply bytes, clipped at EOF
-    std::uint64_t data_len = 0;
-    std::uint64_t covered = 0;         ///< extent-backed bytes among data_len
+    std::uint64_t covered = 0;         ///< extent-backed bytes among those served
     std::uint64_t size = 0;            ///< object size served (chunk 0: logical size)
     Version version = 0;               ///< version served (the vote's winner at R > 1)
     /// Per-sub delivered latency (availability time - group attempt start),
@@ -349,7 +348,8 @@ class BlobClient {
   /// The one read leg: one group of subs sharing a candidate tuple, forked
   /// from `start`. A payload request to `candidates[0]` plus one digest-only
   /// vote per further quorum candidate, arbitrated per sub by version
-  /// (digest tie-break), with stale subs re-fetched from the winning
+  /// (a lower version wins only with the winner's span digest and object
+  /// size), with stale subs re-fetched from the winning
   /// replica; hedging composes: a slow payload request arms a delayed
   /// duplicate to candidates[1]. `plain` (a lone sub) sends each request in
   /// plain wire form, served and charged as BlobServer::read/stat; otherwise
@@ -361,11 +361,17 @@ class BlobClient {
                       SimMicros start, SimMicros* completion);
 
   /// Run `subs` from the agent's clock, which advances to the slowest
-  /// group's completion: place each sub (a `plain` lone sub through the
-  /// placement cache), group by candidate tuple, run every group's leg
-  /// (fanned out on the pool when no fault injector is installed), regroup
-  /// and resend moved subs, and re-run the whole wave when a reply's epoch
-  /// stamp is newer than the placement it was routed by.
+  /// group's completion: place each sub, group by candidate tuple, run every
+  /// group's leg (fanned out on the pool when no fault injector is
+  /// installed), regroup and resend moved subs, and re-run the whole wave
+  /// when a reply's epoch stamp is newer than the placement it was routed
+  /// by. A `plain` wave (one lone sub) routes differently in three ways:
+  /// its first placement comes from the placement cache, which the epoch
+  /// stamp keeps honest (striped chunk keys would churn the cache); it puts
+  /// suspect replicas last up front, where a striped sub keeps replica
+  /// order until it moves, so its group's envelopes still reach a faulted
+  /// node and fail over as a group; and its payload latency feeds the node
+  /// latency EWMA (see read_group_leg).
   Status read_wave(std::span<ReadSub* const> subs, bool plain);
 
   /// A lone read or stat (`sub` alone, plain wire form); a sub the replicas

@@ -301,9 +301,16 @@ void BlobServer::read_batch(const ReadSubOp* subs, std::size_t count,
 }
 
 BlobServer::ReadSubResult BlobServer::read_one(const ReadSubOp& sub, SimMicros* service_us) {
+  std::shared_lock lk(mu_);
+  return read_one_locked(sub, service_us);
+}
+
+BlobServer::ReadSubResult BlobServer::read_one_locked(const ReadSubOp& sub,
+                                                      SimMicros* service_us) {
+  // The one charge of a plain read or stat: cpu_op_us plus the sub's own
+  // cost, published on server.read for a payload, server.stat otherwise.
   const bool payload = !sub.stat_only && (!sub.digest_only || sub.probe_payload);
   OpPublisher pub(payload ? server_metrics().read : server_metrics().stat, service_us);
-  std::shared_lock lk(mu_);
   ReadSubResult res;
   *service_us = costs_.cpu_op_us + serve_read_sub(sub, res);
   return res;
@@ -317,10 +324,13 @@ Result<std::uint64_t> BlobServer::size(const std::string& key, SimMicros* servic
 }
 
 Result<BlobStat> BlobServer::stat(const std::string& key, SimMicros* service_us) {
-  OpPublisher pub(server_metrics().stat, service_us);
   std::shared_lock lk(mu_);
-  *service_us = costs_.cpu_op_us;
-  return engine_.stat(key);
+  ReadSubOp op;
+  op.key = &key;
+  op.stat_only = true;
+  const ReadSubResult res = read_one_locked(op, service_us);
+  if (res.err != Errc::ok) return {res.err, key};
+  return BlobStat{key, res.size, res.version};
 }
 
 std::vector<BlobStat> BlobServer::scan(const std::string& prefix, SimMicros* service_us) {
@@ -458,15 +468,18 @@ Result<ReadOutcome> BlobServer::read_locked(const std::string& key, std::uint64_
   // Caller holds mu_ (shared or exclusive) or a KeyLock on `key`; read()
   // is this plus the structure lock, which the rebalancer's copy path
   // already holds (re-acquiring it could self-deadlock).
-  OpPublisher pub(server_metrics().read, service_us);
-  auto r = engine_.read(key, off, len);
-  SimMicros t = costs_.cpu_op_us;
-  if (r.ok()) {
-    const ReadOutcome& out = r.value();
-    t += svc_read(key, out.size, out.data.size(), out.extents_touched);
-  }
-  *service_us = t;
-  return r;
+  ReadOutcome out;
+  ReadSubOp op;
+  op.key = &key;
+  op.off = off;
+  op.out = &out.data;
+  op.len = len;
+  const ReadSubResult res = read_one_locked(op, service_us);
+  if (res.err != Errc::ok) return {res.err, key};
+  out.covered = res.covered;
+  out.size = res.size;
+  out.version = res.version;
+  return out;
 }
 
 bool BlobServer::add_hint(std::uint32_t target, const BlobKey& key) {

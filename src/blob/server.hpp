@@ -138,9 +138,9 @@ class BlobServer {
   /// mirroring apply_ops.
   void read_batch(const ReadSubOp* subs, std::size_t count, ReadSubResult* results,
                   SimMicros* service_us, SimMicros* per_op_us = nullptr);
-  /// One sub-op as a plain request (a lone read, stat or vote): charged and
-  /// published exactly like read() (payload subs) or stat() (the rest) —
-  /// cpu_op_us plus the sub's own cost, no ride-along.
+  /// One sub-op as a plain request (a lone read, stat or vote): cpu_op_us
+  /// plus the sub's own cost, no ride-along, published on server.read
+  /// (payload subs) or server.stat (the rest). read() and stat() are this.
   ReadSubResult read_one(const ReadSubOp& sub, SimMicros* service_us);
   Result<std::uint64_t> size(const std::string& key, SimMicros* service_us);
   Result<BlobStat> stat(const std::string& key, SimMicros* service_us);
@@ -320,6 +320,9 @@ class BlobServer {
   /// Serve one read sub-op under the held structure lock; returns its own
   /// service time (fixed request CPU and ride-along charges excluded).
   SimMicros serve_read_sub(const ReadSubOp& sub, ReadSubResult& res);
+  /// read_one() under the caller's lock: the one place a plain read or stat
+  /// is charged and published (read(), read_locked() and stat() are this).
+  ReadSubResult read_one_locked(const ReadSubOp& sub, SimMicros* service_us);
 
   struct Stripe {
     std::mutex mu;

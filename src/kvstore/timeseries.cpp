@@ -35,9 +35,12 @@ Bytes TimeSeriesStore::encode_descriptor(const Descriptor& d) {
 Result<TimeSeriesStore::Descriptor> TimeSeriesStore::load_descriptor(
     blob::BlobClient& client, std::string_view series, blob::Version* version) {
   // One read round: the reply pairs the descriptor with the version it was
-  // served at.
+  // served at. It asks for the whole blob (one chunk at most, the reply is
+  // clipped at EOF), so the read needs no copy of the descriptor's size.
+  const std::uint64_t cb = store_->config().chunk_bytes;
   blob::BlobStat served;
-  auto data = client.read(desc_key(series), 0, kDescriptorBytes, &served);
+  auto data = client.read(desc_key(series), 0,
+                          cb > 0 ? cb : std::numeric_limits<std::uint64_t>::max(), &served);
   if (!data.ok()) {
     if (data.code() != Errc::not_found) return data.error();
     if (version) *version = 0;

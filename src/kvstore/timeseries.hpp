@@ -74,7 +74,6 @@ class TimeSeriesStore {
     std::int64_t last_timestamp = 0;
   };
   static constexpr std::uint64_t kPointBytes = 16;
-  static constexpr std::uint64_t kDescriptorBytes = 24;  ///< encode_descriptor's size
 
   [[nodiscard]] std::string desc_key(std::string_view series) const;
   [[nodiscard]] std::string seg_key(std::string_view series, std::uint64_t seg) const;

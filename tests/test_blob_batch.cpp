@@ -451,6 +451,58 @@ TEST(QuorumBatchedReads, OlderVersionIdenticalPayloadAcceptedByDigest) {
   EXPECT_GT(client.counters().quorum_winners, winners0);
 }
 
+TEST(QuorumBatchedReads, LoneReadRefetchesWhenThePayloadReplicaMissedAGrow) {
+  // A truncate-grow raises the size and version but touches no extent, so a
+  // replica that missed it still has a matching span digest. Its payload is
+  // then shorter than the object (the reply is clipped at its own EOF): the
+  // vote must refetch from the winner instead of accepting it by digest.
+  sim::Cluster cluster;
+  StoreConfig cfg;
+  cfg.write_quorum = 2;  // R = 2
+  BlobStore store(cluster, cfg);
+  sim::SimAgent agent;
+  BlobClient client(store, &agent);
+  rpc::FaultInjector injector(/*seed=*/31);
+  store.transport().set_fault_injector(&injector);
+
+  const Bytes v1 = make_payload(31, 0, 1024);
+  ASSERT_TRUE(client.write("g", 0, as_view(v1)).ok());
+  const auto reps = store.replicas_of("g");
+  ASSERT_EQ(reps.size(), 3u);
+  SimMicros svc = 0;
+  const auto pre = store.server(reps[1]).stat("g", &svc);
+  ASSERT_TRUE(pre.ok());
+  ASSERT_TRUE(client.truncate("g", 4096).ok());
+  const auto grown = client.stat("g");
+  ASSERT_TRUE(grown.ok());
+  ASSERT_EQ(grown.value().size, 4096u);
+
+  // Open the primary's breaker: reads fail over while it is unreachable,
+  // and it stays a suspect (demoted behind the other replicas) afterwards.
+  rpc::FaultPlan dead;
+  dead.error_probability = 1.0;
+  injector.set_plan(store.server(reps[0]).node().id(), dead);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(client.read("g", 0, 4096).ok()) << i;
+  ASSERT_GE(client.counters().breaker_opens, 1u);
+  injector.clear_all();
+
+  // reps[1], now the payload candidate, missed the grow.
+  ASSERT_TRUE(store.server(reps[1])
+                  .install_copy("g", as_view(v1), v1.size(), pre.value().version, &svc)
+                  .ok());
+  const std::uint64_t refetches0 = client.counters().quorum_refetches;
+  BlobStat served;
+  auto r = client.read("g", 0, 4096, &served);
+  ASSERT_TRUE(r.ok());
+  Bytes expect(4096, std::byte{0});
+  std::copy(v1.begin(), v1.end(), expect.begin());
+  ASSERT_EQ(r.value().size(), expect.size());
+  EXPECT_TRUE(equal(as_view(r.value()), as_view(expect)));
+  EXPECT_EQ(served.size, grown.value().size);
+  EXPECT_EQ(served.version, grown.value().version);
+  EXPECT_EQ(client.counters().quorum_refetches - refetches0, 1u);
+}
+
 TEST(QuorumBatchedReads, HolesArbitrateAtR2) {
   // Sparse blob at R = 2: chunks 0-2 are absent on every replica (a hole is
   // "absent everywhere", not a stale divergence) and must stay zero.
